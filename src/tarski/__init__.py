@@ -35,7 +35,7 @@ from .lift import dec, dec_strict, decF, decF_strict
 from .poly import Poly
 from .qelim import check_equiv, decide, q_elim
 from .rational import format_rational, parse_rational
-from .signdet import count_with_signs, solve_counts
+from .signdet import count_with_signs, sign_counts, solve_counts
 from .sturm import tarski_query
 from .syntax import (
     formula_from_json,
@@ -57,5 +57,5 @@ __all__ = [
     "formula_from_json", "formula_to_json", "formula_to_str",
     "isolate_roots", "parse_formula", "parse_interval", "parse_poly",
     "parse_rational", "parse_term", "poly_to_str", "q_elim", "qf_eval",
-    "qf_form", "refine", "tarski_query", "term_to_str",
+    "qf_form", "refine", "sign_counts", "tarski_query", "term_to_str",
 ]

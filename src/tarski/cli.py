@@ -24,7 +24,7 @@ from .lift import _poly_map, _NotPolynomial, norm_term
 from .poly import Poly
 from .qelim import check_equiv, decide, q_elim
 from .rational import format_rational, parse_rational
-from .signdet import count_with_signs, sign_vectors
+from .signdet import sign_counts
 from .sturm import tarski_query
 from .syntax import (
     formula_to_json,
@@ -248,10 +248,7 @@ def _cmd_signdet(args) -> int:
     if p.is_zero:
         raise CliError("sign determination over the zero polynomial")
     qs = [_parse_poly_arg(part) for part in _expand_at(args.qs).split(",")]
-    table = []
-    for sv in sign_vectors(len(qs)):
-        count = count_with_signs(p, qs, sv)
-        table.append((sv, count))
+    table = sign_counts(p, qs).items()
     if args.format == "json":
         result = [
             {"signs": [_sign_symbol(s) for s in sv], "count": count}

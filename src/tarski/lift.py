@@ -833,14 +833,19 @@ def _decF(ctx: Ctx, p: PolyF, sq: list[PolyF], on_zero: str) -> Formula:
             return F.FALSE
         n = len(sq)
         dph = derivF(ph)
-        weights = first_count_weights(n)
-        prods = [mulF(dph, _prod_powF(sq, eps)) for eps in exponent_vectors(n)]
+        # Only the 2^n exponent vectors in {1, 2}^n have nonzero weight.
+        terms = [
+            (w, mulF(dph, _prod_powF(sq, eps)))
+            for w, eps in zip(first_count_weights(n), exponent_vectors(n))
+            if w
+        ]
 
         def go(c: Ctx, idx: int, total: Fraction) -> Formula:
-            if idx == len(prods):
+            if idx == len(terms):
                 return Bool(total > 0)
+            w, prod = terms[idx]
             return _var_sremp_inf_from(
-                c, ph, prods[idx], lambda c2, v: go(c2, idx + 1, total + weights[idx] * v)
+                c, ph, prod, lambda c2, v: go(c2, idx + 1, total + w * v)
             )
 
         return go(ctx2, 0, Fraction(0))

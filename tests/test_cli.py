@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -150,6 +151,23 @@ def test_signdet_json_multiple_constraints(capsys):
     assert counts[("+1", "-1")] == 1   # root 0
     assert counts[("-1", "-1")] == 1   # root -1
     assert sum(counts.values()) == 3
+
+
+def test_signdet_five_constraints_within_budget(capsys):
+    # 3^5 sign vectors from one query vector and one solve
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "signdet", "x^3 - x", "x+1/2,x-1/2,x+1/3,x-2,x+3")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    table = dict(line.split(": ") for line in out.strip().splitlines())
+    assert len(table) == 3 ** 5
+    nonzero = {signs: count for signs, count in table.items() if count != "0"}
+    assert nonzero == {
+        "(+1, +1, +1, -1, +1)": "1",  # root 1
+        "(+1, -1, +1, -1, +1)": "1",  # root 0
+        "(-1, -1, -1, -1, +1)": "1",  # root -1
+    }
+    assert elapsed < 5.0
 
 
 def test_max_degree_guard(capsys, monkeypatch):

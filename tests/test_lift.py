@@ -270,7 +270,9 @@ def test_dec_strict_matches_exhaustive_signs():
 def _safe_decF_case(rng):
     """Configurations kept inside the tractable symbolic envelope: at most
     one symbolic constraint, and symbolic main polynomials of degree <= 2
-    whenever constraints are present."""
+    whenever constraints are present.  The shape with two constraints is
+    all-ground, so it short-circuits to dec; the lifted path with two
+    constraints is covered by test_decF_two_constraints_lifted."""
     shape = rng.randrange(4)
     if shape == 0:
         return sym_polyf(rng, rng.randrange(1, 6), 1), []
@@ -289,6 +291,25 @@ def test_decF_square():
         p, sq = _safe_decF_case(rng)
         env = rand_env(rng, 1, bound=4)
         assert check_decF_square(env, p, sq), (p, sq, env)
+
+
+def test_decF_two_constraints_lifted():
+    # exists x. a*x + b = 0 /\ x + c > 0 /\ 1 - x > 0, decided through the
+    # 2^2 lifted Tarski queries; a = 0 reaches the degenerate branches.
+    a, b, c = Var(0), Var(1), Var(2)
+    p = (b, a)
+    sq = [(c, Const(F(1))), (Const(F(1)), Const(F(-1)))]
+    f = decF(p, sq)
+    rng = random.Random(716)
+    envs = [[F(0), F(0), F(0)], [F(0), F(0), F(-2)], [F(0), F(1), F(0)], [F(2), F(-1), F(0)]]
+    envs += [[F(0)] + rand_env(rng, 2, bound=4) for _ in range(8)]
+    envs += [rand_env(rng, 3, bound=4) for _ in range(30)]
+    seen = set()
+    for env in envs:
+        direct = dec(eval_poly(env, p), [eval_poly(env, q) for q in sq])
+        assert qf_eval(env, f) == direct, env
+        seen.add(direct)
+    assert seen == {True, False}
 
 
 def test_decF_output_is_quantifier_free():

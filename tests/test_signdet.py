@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from tarski.signdet import (
     cvec,
     exponent_vectors,
     first_count_weights,
+    sign_counts,
     sign_vectors,
     solve_counts,
+    solve_tvec,
     tensor_pow,
     tvec,
 )
@@ -103,6 +106,15 @@ def test_solve_counts_reproduces_brute_force():
                 assert counts[sv] == constraints(z, sq, sv)
 
 
+def test_solve_tvec_inverts_dense_tensor_power():
+    rng = random.Random(505)
+    for n in range(5):
+        m = tensor_pow(ctmat1(), n)
+        for _ in range(10):
+            cv = [rng.randint(-20, 20) for _ in range(3 ** n)]
+            assert solve_tvec(mat_vec_left(cv, m), n) == cv
+
+
 def test_solve_counts_rejects_inconsistent_input():
     with pytest.raises(ValueError):
         solve_counts([1, 0, 0], 1)  # no nonnegative integer solution
@@ -113,6 +125,9 @@ def test_first_count_weights():
     for n in range(4):
         weights = first_count_weights(n)
         assert len(weights) == 3 ** n
+        nonzero = {eps: w for eps, w in zip(exponent_vectors(n), weights) if w}
+        assert set(nonzero) == set(itertools.product((1, 2), repeat=n))
+        assert set(nonzero.values()) == {F(1, 2 ** n)}
         for _ in range(10):
             z = rand_points(rng, 5)
             sq = [rand_int_poly(rng, 3) for _ in range(n)]
@@ -127,11 +142,25 @@ def test_count_with_signs_on_rational_roots():
         p, roots = linear_factor_poly(rng, max_factors=4)
         n = rng.randint(0, 2)
         sq = [rand_int_poly(rng, 3) for _ in range(n)]
+        counts = sign_counts(p, sq)
+        assert list(counts) == sign_vectors(n)
         for sv in sign_vectors(n):
             expected = sum(
                 1 for r in roots if all(sgr(q.eval(r)) == s for q, s in zip(sq, sv))
             )
+            assert counts[sv] == expected
             assert count_with_signs(p, sq, sv) == expected
+
+
+def test_sign_counting_argument_checks():
+    with pytest.raises(ValueError):
+        solve_tvec([1, 2], 1)
+    with pytest.raises(ValueError):
+        sign_counts(Poly([]), [])
+    with pytest.raises(ValueError):
+        count_with_signs(Poly([]), [], ())
+    with pytest.raises(ValueError):
+        count_with_signs(Poly([F(-1), F(0), F(1)]), [Poly([F(0), F(1)])], ())
 
 
 def test_matrixq_shape_validation():
