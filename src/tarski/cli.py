@@ -20,7 +20,7 @@ from typing import Optional
 from .formula import Formula, free_vars
 from .intervals import Interval, format_interval, full_line, intersect, is_empty, open_
 from .isolate import count_roots, isolate_roots, refine
-from .lift import _poly_map, _NotPolynomial, norm_term
+from .lift import max_var_degree
 from .poly import Poly
 from .qelim import check_equiv, decide, q_elim
 from .rational import format_rational, parse_rational
@@ -91,14 +91,9 @@ def _check_formula_degree(f: Formula) -> None:
     limit = _max_degree()
 
     def check_term(t) -> None:
-        try:
-            pm = _poly_map(norm_term(t))
-        except _NotPolynomial:
-            return
-        for mono in pm:
-            for _, e in mono:
-                if e > limit:
-                    raise CliError(f"degree {e} exceeds TARSKI_MAX_DEGREE = {limit}")
+        e = max_var_degree(t)
+        if e > limit:
+            raise CliError(f"degree {e} exceeds TARSKI_MAX_DEGREE = {limit}")
 
     def walk(g: Formula) -> None:
         if isinstance(g, (F.Equal, F.Lt, F.Le)):

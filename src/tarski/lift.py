@@ -1,5 +1,5 @@
-"""Formal polynomials with term coefficients and the lifted decision
-procedure for one existential block.
+"""Formal polynomials with parameter-polynomial coefficients and the
+lifted decision procedure for one existential block.
 
 A formal polynomial (PolyF) is a sequence of terms, lowest degree first;
 its coefficients cannot be normalized without knowing the parameter
@@ -10,10 +10,18 @@ continuation passing style: the continuation receives the resolved value
 and returns a formula, and each data-dependent branch becomes an if_cps
 case split whose condition is the discriminating sign condition.
 
+Inside this module a coefficient is an MPoly: an immutable sparse map
+from monomials to rationals whose hash is computed once, at construction.
+The public functions take and return terms; each converts its input once
+(memoized per term in _norm_cache) and builds terms again only for the
+values it hands back and for the atoms it emits.  An atom is stated on
+the canonical scaling of its coefficient, and canonical values are
+interned, so each distinct sign condition builds its term once.
+
 Two ingredients keep the output from exploding:
 
-* every coefficient term is kept in polynomial normal form, so ground
-  conditions evaluate outright instead of branching, and
+* coefficients are polynomials in normal form, so ground conditions
+  evaluate outright instead of branching, and
 
 * the case splits thread a context of sign facts already assumed on the
   current branch, so a condition whose sign is forced by earlier splits
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -67,13 +76,10 @@ ALL_SIGNS = frozenset((-1, 0, 1))
 if sys.getrecursionlimit() < 100000:
     sys.setrecursionlimit(100000)
 
-# A context maps canonically scaled terms to the signs they may still
-# take on the current branch.
-Ctx = dict[Term, frozenset]
 
+# -- coefficient polynomials -----------------------------------------------
 
-# -- term normal form -----------------------------------------------------
-
+# A monomial is a sorted tuple of (variable index, exponent) pairs.
 _Mono = tuple[tuple[int, int], ...]
 
 
@@ -81,66 +87,161 @@ class _NotPolynomial(Exception):
     pass
 
 
-_norm_cache: dict[Term, Term] = {}
-_canon_cache: dict[Term, tuple[Term, int]] = {}
-_poly_map_cache: dict[Term, dict] = {}
-
-
-def _poly_map(t: Term) -> dict[_Mono, Fraction]:
-    """Monomial-to-coefficient map of a term; cached, so callers must not
-    mutate the result."""
-    cached = _poly_map_cache.get(t)
-    if cached is None:
-        cached = _poly_map_compute(t)
-        _poly_map_cache[t] = cached
-    return cached
-
-
-def _poly_map_compute(t: Term) -> dict[_Mono, Fraction]:
-    if isinstance(t, F.Var):
-        return {((t.index, 1),): Fraction(1)}
-    if isinstance(t, F.Const):
-        return {(): t.value} if t.value else {}
-    if isinstance(t, F.Opp):
-        return {m: -c for m, c in _poly_map(t.arg).items()}
-    if isinstance(t, F.Add):
-        out = dict(_poly_map(t.left))
-        for m, c in _poly_map(t.right).items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return out
-    if isinstance(t, F.Mul):
-        left = _poly_map(t.left)
-        right = _poly_map(t.right)
-        out: dict[_Mono, Fraction] = {}
-        for m1, c1 in left.items():
-            for m2, c2 in right.items():
-                exps: dict[int, int] = dict(m1)
-                for v, e in m2:
-                    exps[v] = exps.get(v, 0) + e
-                mono = tuple(sorted(exps.items()))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return out
-    if isinstance(t, F.Inv):
-        inner = _poly_map(t.arg)
-        if not inner:
-            return {}
-        if list(inner.keys()) == [()]:
-            return {(): 1 / inner[()]}
-        raise _NotPolynomial
-    raise TypeError(f"not a term: {t!r}")
-
-
 def _mono_key(item: tuple[_Mono, Fraction]) -> tuple:
     mono, _ = item
     return (sum(e for _, e in mono), mono)
+
+
+def _mono_mul(a: _Mono, b: _Mono) -> _Mono:
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _acc(out: dict, mono: _Mono, c: Fraction) -> None:
+    """out[mono] += c, keeping no zero coefficient."""
+    s = out.get(mono)
+    if s is None:
+        out[mono] = c
+    else:
+        s += c
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+
+
+def _acc_mul(out: dict, a: dict, b: dict) -> None:
+    """out += a * b, on monomial maps."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            _acc(out, _mono_mul(m1, m2), c1 * c2)
+
+
+class MPoly:
+    """An immutable polynomial in the parameters: a map from monomials to
+    nonzero rationals.  Its hash is computed once, at construction; its
+    canonical scaling and its term form are computed once, on first use.
+
+    The constructor takes ownership of the map, which must hold no zero
+    coefficient and must not be mutated afterwards.
+    """
+
+    __slots__ = ("terms", "_hash", "_canon", "_flip", "_term", "_neg_term", "__weakref__")
+
+    def __init__(self, terms: dict[_Mono, Fraction]) -> None:
+        self.terms = terms
+        self._hash = hash(frozenset(terms.items()))
+        self._canon: Optional[MPoly] = None  # None while unknown or when self is canonical
+        self._flip = 0  # 0 while canon() has not run
+        self._term: Optional[Term] = None
+        self._neg_term: Optional[Term] = None
+
+    @staticmethod
+    def const(c: Fraction) -> MPoly:
+        return MPoly({(): Fraction(c)} if c else {})
+
+    @staticmethod
+    def var(index: int) -> MPoly:
+        return MPoly({((index, 1),): Fraction(1)})
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        return self._hash == other._hash and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"MPoly({self.terms!r})"
+
+    def __add__(self, other: MPoly) -> MPoly:
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            _acc(out, m, c)
+        return MPoly(out)
+
+    def __neg__(self) -> MPoly:
+        return MPoly({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other: MPoly) -> MPoly:
+        out: dict[_Mono, Fraction] = {}
+        _acc_mul(out, self.terms, other.terms)
+        return MPoly(out)
+
+    def __pow__(self, n: int) -> MPoly:
+        out = ONE_M
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def scale(self, c: Fraction) -> MPoly:
+        if c == 1:
+            return self
+        if not c:
+            return ZERO_M
+        return MPoly({m: c * v for m, v in self.terms.items()})
+
+    def ground(self) -> Optional[Fraction]:
+        """The value of a constant polynomial; None when a variable occurs."""
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        if len(terms) == 1:
+            return terms.get(())
+        return None
+
+    def canon(self) -> tuple[MPoly, int]:
+        """The interned positive rescaling whose least monomial has
+        coefficient +1, and the flip sign: sign(self) = flip * sign(canon)."""
+        if not self._flip:
+            if self.terms:
+                _, coeff = min(self.terms.items(), key=_mono_key)
+                self._flip = sgr(coeff)
+                canon = _intern(self.scale(1 / coeff))
+            else:
+                self._flip = 1
+                canon = _intern(self)
+            if canon is not self:
+                self._canon = canon
+        return (self if self._canon is None else self._canon), self._flip
+
+    def to_term(self) -> Term:
+        if self._term is None:
+            self._term = _rebuild(self.terms)
+        return self._term
+
+    def signed_term(self, sign: int) -> Term:
+        """Term of sign * self."""
+        if sign == 1:
+            return self.to_term()
+        if self._neg_term is None:
+            self._neg_term = _rebuild({m: -c for m, c in self.terms.items()})
+        return self._neg_term
+
+
+ZERO_M = MPoly({})
+ONE_M = MPoly.const(Fraction(1))
+
+PolyM = tuple[MPoly, ...]
+
+# Canonical coefficients by their monomial maps; an entry lives as long as
+# its value is referenced elsewhere.
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _intern(m: MPoly) -> MPoly:
+    return _interned.setdefault(frozenset(m.terms.items()), m)
 
 
 def _balanced(parts: list[Term], op) -> Term:
@@ -171,92 +272,123 @@ def _rebuild(pm: dict[_Mono, Fraction]) -> Term:
     return _balanced(parts, F.Add)
 
 
+def _from_term(t: Term) -> MPoly:
+    if isinstance(t, F.Var):
+        return MPoly.var(t.index)
+    if isinstance(t, F.Const):
+        return MPoly.const(t.value)
+    if isinstance(t, F.Opp):
+        return -_from_term(t.arg)
+    if isinstance(t, F.Add):
+        return _from_term(t.left) + _from_term(t.right)
+    if isinstance(t, F.Mul):
+        return _from_term(t.left) * _from_term(t.right)
+    if isinstance(t, F.Inv):
+        inner = _from_term(t.arg)
+        value = inner.ground()
+        if value is None:
+            raise _NotPolynomial
+        return MPoly.const(1 / value) if value else inner
+    raise TypeError(f"not a term: {t!r}")
+
+
+# The one memo from terms to their values: None marks a term with a
+# non-constant Inv, which has no polynomial normal form.
+_norm_cache: dict[Term, Optional[MPoly]] = {}
+
+
+def _mpoly(t: Term) -> Optional[MPoly]:
+    try:
+        return _norm_cache[t]
+    except KeyError:
+        pass
+    try:
+        m: Optional[MPoly] = _from_term(t)
+    except _NotPolynomial:
+        m = None
+    _norm_cache[t] = m
+    return m
+
+
+def _coeffs(p: Sequence[Term]) -> PolyM:
+    out = []
+    for t in p:
+        m = _mpoly(t)
+        if m is None:
+            raise ValueError("formal polynomial coefficients must be Inv-free (run elim_inv first)")
+        out.append(m)
+    return tuple(out)
+
+
+def _terms(p: Sequence[MPoly]) -> PolyF:
+    return tuple(c.to_term() for c in p)
+
+
 def norm_term(t: Term) -> Term:
     """Canonical polynomial normal form of an Inv-free term; terms whose
     Inv subterms are non-constant are returned unchanged."""
-    cached = _norm_cache.get(t)
-    if cached is not None:
-        return cached
-    try:
-        result = _rebuild(_poly_map(t))
-    except _NotPolynomial:
-        result = t
-    _norm_cache[t] = result
-    return result
+    m = _mpoly(t)
+    return t if m is None else m.to_term()
 
 
-def _canon(t: Term) -> tuple[Term, int]:
-    """Scale a normalized term by a positive rational so that its least
-    monomial has coefficient +1; returns the canonical term and the flip
-    sign (sign(t) = flip * sign(canonical))."""
-    cached = _canon_cache.get(t)
-    if cached is not None:
-        return cached
-    pm = _poly_map(t)
-    if not pm:
-        result = (ZERO, 1)
-    else:
-        _, coeff = min(pm.items(), key=_mono_key)
-        s = sgr(coeff)
-        result = (_rebuild({m: c / coeff for m, c in pm.items()}), s)
-    _canon_cache[t] = result
-    return result
-
-
-def _try_canon(t: Term) -> Optional[tuple[Term, int]]:
-    """_canon, or None when the term is not polynomial (non-constant Inv)."""
-    try:
-        return _canon(t)
-    except _NotPolynomial:
-        return None
-
-
-def _ground(t: Term) -> Optional[Fraction]:
-    out: set[int] = set()
-    F.term_vars(t, out)
-    if out:
-        return None
-    return eval_term([], t)
+def max_var_degree(t: Term) -> int:
+    """Highest exponent of a single variable in the normal form of t; 0
+    for constants and for terms with a non-constant Inv."""
+    m = _mpoly(t)
+    if m is None:
+        return 0
+    return max((e for mono in m.terms for _, e in mono), default=0)
 
 
 # -- formula constant folding --------------------------------------------
 
 
+def _atom_value(d: Term) -> tuple[Term, Optional[MPoly]]:
+    """Normal form of an atom's difference term, and its value (None
+    when the term has a non-constant Inv)."""
+    n = norm_term(d)
+    return n, _mpoly(d)
+
+
+def _fold_atom(f: Formula) -> Formula:
+    if isinstance(f, Equal):
+        d, m = _atom_value(sub(f.left, f.right))
+        if m is None:
+            return Equal(d, ZERO)
+        g = m.ground()
+        return Bool(g == 0) if g is not None else _atom_eq(m)
+    d, m = _atom_value(sub(f.right, f.left))
+    if m is None:
+        return type(f)(ZERO, d)
+    g = m.ground()
+    if g is not None:
+        return Bool(g > 0 if isinstance(f, Lt) else g >= 0)
+    canon, flip = m.canon()
+    return type(f)(ZERO, canon.signed_term(flip))
+
+
 def fold_formula(f: Formula) -> Formula:
     """Bottom-up semantics-preserving simplification: evaluate ground
     atoms, normalize atom terms, and shortcut boolean connectives."""
+    return _fold(f, {})
+
+
+def _fold(f: Formula, atoms: dict) -> Formula:
+    """fold_formula, folding each atom once per call: the lifted procedure
+    emits every occurrence of an atom with the same term objects, so atoms
+    are keyed by the identity of their terms (each entry keeps its atom,
+    and with it those terms, alive for the call)."""
     if isinstance(f, Bool):
         return f
-    if isinstance(f, Equal):
-        d = norm_term(sub(f.left, f.right))
-        g = _ground(d)
-        if g is not None:
-            return Bool(g == 0)
-        pair = _try_canon(d)
-        return Equal(pair[0] if pair else d, ZERO)
-    if isinstance(f, Lt):
-        d = norm_term(sub(f.right, f.left))
-        g = _ground(d)
-        if g is not None:
-            return Bool(g > 0)
-        pair = _try_canon(d)
-        if pair is None:
-            return Lt(ZERO, d)
-        canon, flip = pair
-        return Lt(ZERO, canon if flip == 1 else norm_term(F.Opp(canon)))
-    if isinstance(f, F.Le):
-        d = norm_term(sub(f.right, f.left))
-        g = _ground(d)
-        if g is not None:
-            return Bool(g >= 0)
-        pair = _try_canon(d)
-        if pair is None:
-            return F.Le(ZERO, d)
-        canon, flip = pair
-        return F.Le(ZERO, canon if flip == 1 else norm_term(F.Opp(canon)))
+    if isinstance(f, (Equal, Lt, F.Le)):
+        key = (type(f), id(f.left), id(f.right))
+        hit = atoms.get(key)
+        if hit is None:
+            hit = atoms[key] = (f, _fold_atom(f))
+        return hit[1]
     if isinstance(f, And):
-        left = fold_formula(f.left)
-        right = fold_formula(f.right)
+        left = _fold(f.left, atoms)
+        right = _fold(f.right, atoms)
         if left == F.FALSE or right == F.FALSE:
             return F.FALSE
         if left == F.TRUE:
@@ -265,8 +397,8 @@ def fold_formula(f: Formula) -> Formula:
             return left
         return And(left, right)
     if isinstance(f, Or):
-        left = fold_formula(f.left)
-        right = fold_formula(f.right)
+        left = _fold(f.left, atoms)
+        right = _fold(f.right, atoms)
         if left == F.TRUE or right == F.TRUE:
             return F.TRUE
         if left == F.FALSE:
@@ -275,30 +407,64 @@ def fold_formula(f: Formula) -> Formula:
             return left
         return Or(left, right)
     if isinstance(f, F.Implies):
-        left = fold_formula(f.left)
-        right = fold_formula(f.right)
+        left = _fold(f.left, atoms)
+        right = _fold(f.right, atoms)
         if left == F.FALSE or right == F.TRUE:
             return F.TRUE
         if left == F.TRUE:
             return right
         if right == F.FALSE:
-            return fold_formula(Not(left))
+            return _fold(Not(left), atoms)
         return F.Implies(left, right)
     if isinstance(f, Not):
-        inner = fold_formula(f.arg)
+        inner = _fold(f.arg, atoms)
         if isinstance(inner, Bool):
             return Bool(not inner.value)
         if isinstance(inner, Not):
             return inner.arg
         return Not(inner)
     if isinstance(f, F.Exists):
-        return F.Exists(f.index, fold_formula(f.body))
+        return F.Exists(f.index, _fold(f.body, atoms))
     if isinstance(f, F.Forall):
-        return F.Forall(f.index, fold_formula(f.body))
+        return F.Forall(f.index, _fold(f.body, atoms))
     raise TypeError(f"not a formula: {f!r}")
 
 
 # -- formal polynomial ring operations (direct counterparts) --------------
+#
+# The private ring operations work on tuples of MPoly; the public ones
+# (on tuples of terms) convert their arguments and results.
+
+
+def _addM(p: PolyM, q: PolyM) -> PolyM:
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(a + q[i] if i < len(q) else a for i, a in enumerate(p))
+
+
+def _oppM(p: PolyM) -> PolyM:
+    return tuple(-c for c in p)
+
+
+def _mulM(p: PolyM, q: PolyM) -> PolyM:
+    if not p or not q:
+        return ()
+    out: list[dict] = [{} for _ in range(len(p) + len(q) - 1)]
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            _acc_mul(out[i + j], a.terms, b.terms)
+    return tuple(MPoly(c) for c in out)
+
+
+def _derivM(p: PolyM) -> PolyM:
+    return tuple(c.scale(Fraction(i)) for i, c in enumerate(p) if i > 0)
+
+
+def _powM(p: PolyM, n: int) -> PolyM:
+    out: PolyM = (ONE_M,)
+    for _ in range(n):
+        out = _mulM(out, p)
+    return out
 
 
 def eval_poly(env: Sequence[Fraction], p: PolyF) -> Poly:
@@ -307,42 +473,28 @@ def eval_poly(env: Sequence[Fraction], p: PolyF) -> Poly:
 
 
 def addF(p: PolyF, q: PolyF) -> PolyF:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else ZERO
-        b = q[i] if i < len(q) else ZERO
-        out.append(norm_term(F.Add(a, b)))
-    return tuple(out)
+    return _terms(_addM(_coeffs(p), _coeffs(q)))
 
 
 def oppF(p: PolyF) -> PolyF:
-    return tuple(norm_term(F.Opp(c)) for c in p)
+    return _terms(_oppM(_coeffs(p)))
 
 
 def mulF(p: PolyF, q: PolyF) -> PolyF:
-    if not p or not q:
-        return ()
-    out: list[Term] = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = F.Add(out[i + j], F.Mul(a, b))
-    return tuple(norm_term(c) for c in out)
+    return _terms(_mulM(_coeffs(p), _coeffs(q)))
 
 
 def scaleF(t: Term, p: PolyF) -> PolyF:
-    return tuple(norm_term(F.Mul(t, c)) for c in p)
+    (s,) = _coeffs((t,))
+    return _terms(tuple(s * c for c in _coeffs(p)))
 
 
 def derivF(p: PolyF) -> PolyF:
-    return tuple(norm_term(F.Mul(F.Const(Fraction(i)), c)) for i, c in enumerate(p) if i > 0)
+    return _terms(_derivM(_coeffs(p)))
 
 
 def powF(p: PolyF, n: int) -> PolyF:
-    out: PolyF = (ONE,)
-    for _ in range(n):
-        out = mulF(out, p)
-    return out
+    return _terms(_powM(_coeffs(p), n))
 
 
 def abstrX(i: int, t: Term) -> PolyF:
@@ -370,31 +522,31 @@ def polyf_has_inv(p: PolyF) -> bool:
 
 # -- sign contexts ---------------------------------------------------------
 
+# A context maps canonical coefficients to the signs they may still take
+# on the current branch.
+Ctx = dict[MPoly, frozenset]
 
-def _mono_of(t: Term) -> Optional[tuple[Fraction, _Mono]]:
-    try:
-        pm = _poly_map(t)
-    except _NotPolynomial:
+
+def _single_mono(m: MPoly) -> Optional[tuple[Fraction, _Mono]]:
+    if len(m.terms) != 1:
         return None
-    if len(pm) != 1:
-        return None
-    mono, coeff = next(iter(pm.items()))
+    mono, coeff = next(iter(m.terms.items()))
     return coeff, mono
 
 
-def _possible_signs(ctx: Ctx, t: Term) -> frozenset:
-    """Signs the (normalized) term may still take under the context."""
-    g = _ground(t)
+def _possible_signs(ctx: Ctx, t: MPoly) -> frozenset:
+    """Signs the coefficient may still take under the context."""
+    g = t.ground()
     if g is not None:
         return frozenset((sgr(g),))
-    canon, flip = _canon(t)
+    canon, flip = t.canon()
     poss = ctx.get(canon, ALL_SIGNS)
-    mono = _mono_of(canon)
+    mono = _single_mono(canon)
     if mono is not None:
         coeff, factors = mono
         combined = {sgr(coeff)}
         for v, e in factors:
-            var_poss = ctx.get(F.Var(v), ALL_SIGNS)
+            var_poss = ctx.get(MPoly.var(v), ALL_SIGNS)
             step = set()
             for s in var_poss:
                 fs = 0 if s == 0 else (1 if e % 2 == 0 else s)
@@ -406,24 +558,24 @@ def _possible_signs(ctx: Ctx, t: Term) -> frozenset:
     return poss
 
 
-def _learn(ctx: Ctx, t: Term, signs: frozenset) -> Ctx:
+def _learn(ctx: Ctx, t: MPoly, signs: frozenset) -> Ctx:
     """Extend the context with the fact sign(t) in signs."""
-    canon, flip = _canon(t)
+    canon, flip = t.canon()
     if flip == -1:
         signs = frozenset(-s for s in signs)
     out = dict(ctx)
     out[canon] = out.get(canon, ALL_SIGNS) & signs
     known = out[canon]
-    mono = _mono_of(canon)
+    mono = _single_mono(canon)
     if mono is not None:
         _, factors = mono
         if 0 not in known:
             for v, _ in factors:
-                key = F.Var(v)
+                key = MPoly.var(v)
                 out[key] = out.get(key, ALL_SIGNS) & frozenset((-1, 1))
         if len(factors) == 1:
             v, e = factors[0]
-            key = F.Var(v)
+            key = MPoly.var(v)
             if known == frozenset((0,)):
                 out[key] = out.get(key, ALL_SIGNS) & frozenset((0,))
             elif len(known) == 1 and e % 2 == 1:
@@ -431,13 +583,13 @@ def _learn(ctx: Ctx, t: Term, signs: frozenset) -> Ctx:
     return out
 
 
-def _atom_eq(t: Term) -> Formula:
-    return Equal(_canon(t)[0], ZERO)
+def _atom_eq(t: MPoly) -> Formula:
+    return Equal(t.canon()[0].to_term(), ZERO)
 
 
-def _atom_pos(t: Term) -> Formula:
-    canon, flip = _canon(t)
-    return Lt(ZERO, canon if flip == 1 else norm_term(F.Opp(canon)))
+def _atom_pos(t: MPoly) -> Formula:
+    canon, flip = t.canon()
+    return Lt(ZERO, canon.signed_term(flip))
 
 
 def _mk_ite(cond: Formula, th: Formula, el: Formula) -> Formula:
@@ -458,9 +610,8 @@ def _mk_ite(cond: Formula, th: Formula, el: Formula) -> Formula:
     return Or(And(cond, th), And(Not(cond), el))
 
 
-def _case_zero(ctx: Ctx, t: Term, k: Callable[[Ctx, bool], Formula]) -> Formula:
-    """Split on whether the term is zero, unless the context decides it."""
-    t = norm_term(t)
+def _case_zero(ctx: Ctx, t: MPoly, k: Callable[[Ctx, bool], Formula]) -> Formula:
+    """Split on whether the coefficient is zero, unless the context decides it."""
     poss = _possible_signs(ctx, t)
     if 0 not in poss:
         return k(ctx, False)
@@ -471,9 +622,8 @@ def _case_zero(ctx: Ctx, t: Term, k: Callable[[Ctx, bool], Formula]) -> Formula:
     return _mk_ite(_atom_eq(t), th, el)
 
 
-def _case_sign(ctx: Ctx, t: Term, k: Callable[[Ctx, int], Formula]) -> Formula:
-    """Split on the sign of the term, folding context-decided cases."""
-    t = norm_term(t)
+def _case_sign(ctx: Ctx, t: MPoly, k: Callable[[Ctx, int], Formula]) -> Formula:
+    """Split on the sign of the coefficient, folding context-decided cases."""
 
     def nonzero(ctx2: Ctx) -> Formula:
         poss = _possible_signs(ctx2, t)
@@ -502,7 +652,7 @@ def if_cps(cond: Formula, th: Formula, el: Formula) -> Formula:
     return _mk_ite(c, th, el)
 
 
-def _tail_zero(ctx: Ctx, cs: Sequence[Term], k: Callable[[Ctx, bool], Formula]) -> Formula:
+def _tail_zero(ctx: Ctx, cs: PolyM, k: Callable[[Ctx, bool], Formula]) -> Formula:
     """Split on whether every coefficient in cs is zero."""
     if not cs:
         return k(ctx, True)
@@ -513,151 +663,144 @@ def _tail_zero(ctx: Ctx, cs: Sequence[Term], k: Callable[[Ctx, bool], Formula]) 
     )
 
 
-def _lcoef(ctx: Ctx, p: PolyF, k: Callable[[Ctx, Term], Formula]) -> Formula:
+def _lcoef(ctx: Ctx, p: PolyM, k: Callable[[Ctx, MPoly], Formula]) -> Formula:
     if not p:
-        return k(ctx, ZERO)
-    head, tail = p[0], tuple(p[1:])
+        return k(ctx, ZERO_M)
+    head, tail = p[0], p[1:]
     return _tail_zero(ctx, tail, lambda c, z: k(c, head) if z else _lcoef(c, tail, k))
 
 
 def lcoef_cps(p: PolyF, k: TermCont) -> Formula:
     """Continuation receives the leading coefficient of the evaluated
     polynomial (0 for the zero polynomial)."""
-    return _lcoef({}, tuple(norm_term(c) for c in p), lambda _, t: k(t))
+    return _lcoef({}, _coeffs(p), lambda _, m: k(m.to_term()))
 
 
-def _whnf(ctx: Ctx, p: PolyF, k: Callable[[Ctx, PolyF], Formula]) -> Formula:
+def _whnf(ctx: Ctx, p: PolyM, k: Callable[[Ctx, PolyM], Formula]) -> Formula:
     """Resolve the true degree: the continuation receives a prefix whose
     last coefficient is nonzero under the branch context (or ())."""
-    q = tuple(norm_term(c) for c in p)
-    if not q:
+    if not p:
         return k(ctx, ())
     return _case_zero(
         ctx,
-        q[-1],
-        lambda c, z: _whnf(c, q[:-1], k) if z else k(c, q),
+        p[-1],
+        lambda c, z: _whnf(c, p[:-1], k) if z else k(c, p),
     )
 
 
 def size_cps(p: PolyF, k: IntCont) -> Formula:
     """Continuation receives the size (degree + 1; 0 for zero) of the
     evaluated polynomial."""
-    return _whnf({}, p, lambda _, q: k(len(q)))
+    return _whnf({}, _coeffs(p), lambda _, q: k(len(q)))
 
 
-_prem_cache: dict[tuple[PolyF, PolyF], PolyF] = {}
+_prem_cache: dict[tuple[PolyM, PolyM], PolyM] = {}
 
 
-def _pseudo_rem_even(p: PolyF, q: PolyF) -> PolyF:
-    """Pseudo-remainder of p by q with an even-power multiplier; cached,
-    since remainder chains are rebuilt along every sign-split branch.
+def _prem_step(r: PolyM, q: PolyM, lc: MPoly, top: MPoly) -> PolyM:
+    """One pseudo-division step: lc * r - top * x^(deg r - deg q) * q,
+    without its (cancelled) leading coefficient."""
+    kdeg, dq = len(r) - 1, len(q) - 1
+    minus_top = (-top).terms
+    out = []
+    for j in range(kdeg):
+        acc: dict[_Mono, Fraction] = {}
+        _acc_mul(acc, lc.terms, r[j].terms)
+        shift = j - (kdeg - dq)
+        if 0 <= shift < dq:
+            _acc_mul(acc, minus_top, q[shift].terms)
+        out.append(MPoly(acc))
+    return tuple(out)
+
+
+def _pseudo_rem_even(p: PolyM, q: PolyM) -> PolyM:
+    """Pseudo-remainder of p by q with an even-power multiplier.
 
     Both arguments must carry their true leading coefficient (whnf).  The
     result has structural degree < deg q but is not itself whnf.
     """
-    cached = _prem_cache.get((p, q))
-    if cached is not None:
-        return cached
     dp, dq = len(p) - 1, len(q) - 1
     if dp < dq:
         return p
     lc = q[-1]
-    r = list(p)
-    steps = dp - dq + 1
-    for kdeg in range(dp, dq - 1, -1):
-        top = r[-1]
-        new_r: list[Term] = []
-        for j in range(kdeg):
-            term: Term = F.Mul(lc, r[j])
-            shift = j - (kdeg - dq)
-            if 0 <= shift < dq:
-                term = sub(term, F.Mul(top, q[shift]))
-            new_r.append(term)
-        r = [norm_term(c) for c in new_r]
-    if steps % 2 == 1:
-        r = [norm_term(F.Mul(lc, c)) for c in r]
-    result = tuple(r)
-    _prem_cache[(p, q)] = result
-    return result
+    r = p
+    for _ in range(dp - dq + 1):
+        r = _prem_step(r, q, lc, r[-1])
+    if (dp - dq) % 2 == 0:
+        r = tuple(lc * c for c in r)
+    return r
 
 
 def pseudo_divmod_cps(p: PolyF, q: PolyF, k: Callable[[Term, PolyF, PolyF], Formula]) -> Formula:
     """Continuation receives (scalp, quot, rem) of the even-multiplier
     pseudo-division of the evaluated polynomials.  In the branch where q
     evaluates to zero the continuation receives (1, 0, p)."""
+    qm = _coeffs(q)
     return _whnf(
         {},
-        p,
+        _coeffs(p),
         lambda c1, ph: _whnf(
             c1,
-            q,
-            lambda c2, qh: k(ONE, (), ph) if not qh else _pseudo_divmod_terms(ph, qh, k),
+            qm,
+            lambda c2, qh: k(ONE, (), _terms(ph)) if not qh else _pseudo_divmod_terms(ph, qh, k),
         ),
     )
 
 
-def _pseudo_divmod_terms(p: PolyF, q: PolyF, k: Callable[[Term, PolyF, PolyF], Formula]) -> Formula:
+def _pseudo_divmod_terms(p: PolyM, q: PolyM, k: Callable[[Term, PolyF, PolyF], Formula]) -> Formula:
     dp, dq = len(p) - 1, len(q) - 1
     if dp < dq:
-        return k(ONE, (), p)
+        return k(ONE, (), _terms(p))
     lc = q[-1]
-    r = list(p)
-    quot: list[Term] = [ZERO] * (dp - dq + 1)
+    r = p
+    quot = [ZERO_M] * (dp - dq + 1)
     steps = dp - dq + 1
     for kdeg in range(dp, dq - 1, -1):
         top = r[-1]
-        quot = [norm_term(F.Mul(lc, c)) for c in quot]
-        quot[kdeg - dq] = norm_term(F.Add(quot[kdeg - dq], top))
-        new_r: list[Term] = []
-        for j in range(kdeg):
-            term: Term = F.Mul(lc, r[j])
-            shift = j - (kdeg - dq)
-            if 0 <= shift < dq:
-                term = sub(term, F.Mul(top, q[shift]))
-            new_r.append(term)
-        r = [norm_term(c) for c in new_r]
+        quot = [lc * c for c in quot]
+        quot[kdeg - dq] = quot[kdeg - dq] + top
+        r = _prem_step(r, q, lc, top)
     power = steps
     if steps % 2 == 1:
-        r = [norm_term(F.Mul(lc, c)) for c in r]
-        quot = [norm_term(F.Mul(lc, c)) for c in quot]
+        r = tuple(lc * c for c in r)
+        quot = [lc * c for c in quot]
         power += 1
-    scalp: Term = ONE
-    for _ in range(power):
-        scalp = F.Mul(scalp, lc)
-    return k(norm_term(scalp), tuple(quot), tuple(r))
+    return k((lc ** power).to_term(), _terms(quot), _terms(r))
 
 
-def _sremp(ctx: Ctx, p: PolyF, q: PolyF, k: Callable[[Ctx, list[PolyF]], Formula]) -> Formula:
+def _sremp(ctx: Ctx, p: PolyM, q: PolyM, k: Callable[[Ctx, list[PolyM]], Formula]) -> Formula:
     return _whnf(ctx, p, lambda c, ph: k(c, []) if not ph else _sremp_from(c, ph, q, k))
 
 
-def _sremp_from(ctx: Ctx, ph: PolyF, q: PolyF, k: Callable[[Ctx, list[PolyF]], Formula]) -> Formula:
+def _sremp_from(ctx: Ctx, ph: PolyM, q: PolyM, k: Callable[[Ctx, list[PolyM]], Formula]) -> Formula:
     return _whnf(ctx, q, lambda c, qh: k(c, [ph]) if not qh else _sremp_loop(c, [ph, qh], k))
 
 
-def _primitiveF(p: PolyF) -> PolyF:
-    """Divide out the positive rational content of the coefficient terms;
-    a positive rescaling, so sign-change counts are unaffected."""
-    nums: list[int] = []
-    dens: list[int] = []
-    try:
-        for c in p:
-            for coeff in _poly_map(c).values():
-                nums.append(coeff.numerator)
-                dens.append(coeff.denominator)
-    except _NotPolynomial:
+def _primitiveF(p: PolyM) -> PolyM:
+    """Divide out the positive rational content of the coefficients; a
+    positive rescaling, so sign-change counts are unaffected."""
+    coeffs = [v for c in p for v in c.terms.values()]
+    if not coeffs:
         return p
-    if not nums:
+    g = Fraction(math.gcd(*(v.numerator for v in coeffs)), math.lcm(*(v.denominator for v in coeffs)))
+    if g == 1:
         return p
-    g = Fraction(math.gcd(*nums), math.lcm(*dens))
-    if g in (0, 1):
-        return p
-    scale = F.Const(1 / g)
-    return tuple(norm_term(F.Mul(scale, c)) for c in p)
+    return tuple(c.scale(1 / g) for c in p)
 
 
-def _sremp_loop(ctx: Ctx, seq: list[PolyF], k: Callable[[Ctx, list[PolyF]], Formula]) -> Formula:
-    neg = _primitiveF(oppF(_pseudo_rem_even(seq[-2], seq[-1])))
+def _next_rem(p: PolyM, q: PolyM) -> PolyM:
+    """The next element of a signed remainder sequence: -prem(p, q) with
+    its content divided out.  Cached, since remainder chains are rebuilt
+    along every sign-split branch, and a cached element keeps its
+    coefficients' canonical forms."""
+    rem = _prem_cache.get((p, q))
+    if rem is None:
+        rem = _prem_cache[(p, q)] = _primitiveF(_oppM(_pseudo_rem_even(p, q)))
+    return rem
+
+
+def _sremp_loop(ctx: Ctx, seq: list[PolyM], k: Callable[[Ctx, list[PolyM]], Formula]) -> Formula:
+    neg = _next_rem(seq[-2], seq[-1])
     return _whnf(ctx, neg, lambda c, rh: k(c, seq) if not rh else _sremp_loop(c, seq + [rh], k))
 
 
@@ -665,10 +808,10 @@ def sremp_cps(p: PolyF, q: PolyF, k: Callable[[list[PolyF]], Formula]) -> Formul
     """Continuation receives the signed remainder sequence of the
     evaluated polynomials, each element a positive multiple of its exact
     counterpart (sign-change counts are therefore identical)."""
-    return _sremp({}, p, q, lambda _, seq: k(seq))
+    return _sremp({}, _coeffs(p), _coeffs(q), lambda _, seq: k([_terms(e) for e in seq]))
 
 
-def _lead_signs(ctx: Ctx, seq: Sequence[PolyF], k: Callable[[Ctx, list[int]], Formula]) -> Formula:
+def _lead_signs(ctx: Ctx, seq: Sequence[PolyM], k: Callable[[Ctx, list[int]], Formula]) -> Formula:
     """Signs of the (guaranteed nonzero) leading coefficients of a
     whnf-resolved sequence."""
     if not seq:
@@ -696,7 +839,7 @@ def var_at_inf_cps(sp: Sequence[PolyF], direction: int, k: IntCont) -> Formula:
     if direction not in (NEG_INF, POS_INF):
         raise ValueError("direction must be NEG_INF or POS_INF")
 
-    def resolve(ctx: Ctx, rest: Sequence[PolyF], acc: list[PolyF]) -> Formula:
+    def resolve(ctx: Ctx, rest: Sequence[PolyM], acc: list[PolyM]) -> Formula:
         if not rest:
             return _lead_signs(
                 ctx,
@@ -705,10 +848,10 @@ def var_at_inf_cps(sp: Sequence[PolyF], direction: int, k: IntCont) -> Formula:
             )
         return _whnf(ctx, rest[0], lambda c, h: resolve(c, rest[1:], acc + ([h] if h else [])))
 
-    return resolve({}, list(sp), [])
+    return resolve({}, [_coeffs(e) for e in sp], [])
 
 
-def _var_sremp_inf_from(ctx: Ctx, ph: PolyF, q: PolyF, k: Callable[[Ctx, int], Formula]) -> Formula:
+def _var_sremp_inf_from(ctx: Ctx, ph: PolyM, q: PolyM, k: Callable[[Ctx, int], Formula]) -> Formula:
     """var at -oo minus var at +oo of the remainder sequence of (ph, q),
     with ph already whnf-resolved and nonzero."""
     return _sremp_from(
@@ -729,8 +872,9 @@ def _var_sremp_inf_from(ctx: Ctx, ph: PolyF, q: PolyF, k: Callable[[Ctx, int], F
 
 def var_sremp_inf_cps(p: PolyF, q: PolyF, k: IntCont) -> Formula:
     """Continuation receives var_sremp_inf of the evaluated polynomials."""
+    qm = _coeffs(q)
     return _whnf(
-        {}, p, lambda c, ph: k(0) if not ph else _var_sremp_inf_from(c, ph, q, lambda _, v: k(v))
+        {}, _coeffs(p), lambda c, ph: k(0) if not ph else _var_sremp_inf_from(c, ph, qm, lambda _, v: k(v))
     )
 
 
@@ -739,21 +883,14 @@ def monic_cps(p: PolyF, k: PolyCont) -> Formula:
     and whose roots are the original's scaled by the leading coefficient.
     Zero and constant evaluations pass through unchanged."""
 
-    def transform(_: Ctx, ph: PolyF) -> Formula:
+    def transform(_: Ctx, ph: PolyM) -> Formula:
         if len(ph) < 2:
-            return k(ph)
+            return k(_terms(ph))
         n = len(ph) - 1
         lead = ph[-1]
-        out: list[Term] = []
-        for i in range(n):
-            c: Term = ph[i]
-            for _unused in range(n - 1 - i):
-                c = F.Mul(c, lead)
-            out.append(norm_term(c))
-        out.append(ONE)
-        return k(tuple(out))
+        return k(_terms([ph[i] * lead ** (n - 1 - i) for i in range(n)]) + (ONE,))
 
-    return _whnf({}, p, transform)
+    return _whnf({}, _coeffs(p), transform)
 
 
 # -- the univariate decision and its lifted counterpart -------------------
@@ -796,10 +933,10 @@ def dec_strict(sq: Sequence[Poly]) -> bool:
     return dec(dprod, sq, on_zero="false")
 
 
-def _prod_powF(sq: Sequence[PolyF], eps: Sequence[int]) -> PolyF:
-    out: PolyF = (ONE,)
+def _prod_powF(sq: Sequence[PolyM], eps: Sequence[int]) -> PolyM:
+    out: PolyM = (ONE_M,)
     for q, e in zip(sq, eps):
-        out = mulF(out, powF(q, e))
+        out = _mulM(out, _powM(q, e))
     return out
 
 
@@ -809,33 +946,33 @@ def decF(p: PolyF, sq: Sequence[PolyF], on_zero: str = "strict") -> Formula:
     dec(eval_poly(e, p), [eval_poly(e, q) ...])."""
     if polyf_has_inv(p) or any(polyf_has_inv(q) for q in sq):
         raise ValueError("decF requires Inv-free coefficients (run elim_inv first)")
-    return _decF({}, tuple(p), [tuple(q) for q in sq], on_zero)
+    return _decF({}, _coeffs(p), [_coeffs(q) for q in sq], on_zero)
 
 
-def _groundF(p: PolyF) -> Optional[Poly]:
-    values = [_ground(c) for c in p]
+def _groundF(p: PolyM) -> Optional[Poly]:
+    values = [c.ground() for c in p]
     if any(v is None for v in values):
         return None
     return Poly(values)
 
 
-def _decF(ctx: Ctx, p: PolyF, sq: list[PolyF], on_zero: str) -> Formula:
+def _decF(ctx: Ctx, p: PolyM, sq: list[PolyM], on_zero: str) -> Formula:
     pg = _groundF(p)
     if pg is not None:
         sgs = [_groundF(q) for q in sq]
         if all(g is not None for g in sgs):
             return Bool(dec(pg, sgs, on_zero))
 
-    def after(ctx2: Ctx, ph: PolyF) -> Formula:
+    def after(ctx2: Ctx, ph: PolyM) -> Formula:
         if not ph:
             return _decF_strict(ctx2, sq) if on_zero == "strict" else F.FALSE
         if len(ph) == 1:
             return F.FALSE
         n = len(sq)
-        dph = derivF(ph)
+        dph = _derivM(ph)
         # Only the 2^n exponent vectors in {1, 2}^n have nonzero weight.
         terms = [
-            (w, mulF(dph, _prod_powF(sq, eps)))
+            (w, _mulM(dph, _prod_powF(sq, eps)))
             for w, eps in zip(first_count_weights(n), exponent_vectors(n))
             if w
         ]
@@ -858,10 +995,10 @@ def decF_strict(sq: Sequence[PolyF]) -> Formula:
     constraint polynomial positive under the environment."""
     if any(polyf_has_inv(q) for q in sq):
         raise ValueError("decF_strict requires Inv-free coefficients")
-    return _decF_strict({}, [tuple(q) for q in sq])
+    return _decF_strict({}, [_coeffs(q) for q in sq])
 
 
-def _decF_strict(ctx: Ctx, sq: list[PolyF]) -> Formula:
+def _decF_strict(ctx: Ctx, sq: list[PolyM]) -> Formula:
     if not sq:
         return F.TRUE
     sgs = [_groundF(q) for q in sq]
@@ -869,12 +1006,12 @@ def _decF_strict(ctx: Ctx, sq: list[PolyF]) -> Formula:
         return Bool(dec_strict(sgs))
 
     def critical(c: Ctx) -> Formula:
-        prod: PolyF = (ONE,)
+        prod: PolyM = (ONE_M,)
         for q in sq:
-            prod = mulF(prod, q)
-        return _decF(c, derivF(prod), sq, on_zero="false")
+            prod = _mulM(prod, q)
+        return _decF(c, _derivM(prod), sq, on_zero="false")
 
-    def infinities(c: Ctx, rest: Sequence[PolyF], acc: list[tuple[int, int]]) -> Formula:
+    def infinities(c: Ctx, rest: Sequence[PolyM], acc: list[tuple[int, int]]) -> Formula:
         # acc holds (lead sign, size) pairs; a zero polynomial makes the
         # whole conjunction unsatisfiable.
         if not rest:
@@ -882,7 +1019,7 @@ def _decF_strict(ctx: Ctx, sq: list[PolyF]) -> Formula:
             minus = all((s if size % 2 == 1 else -s) == 1 for s, size in acc)
             return F.TRUE if (plus or minus) else critical(c)
 
-        def with_head(c2: Ctx, h: PolyF) -> Formula:
+        def with_head(c2: Ctx, h: PolyM) -> Formula:
             if not h:
                 return F.FALSE
             return _case_sign(c2, h[-1], lambda c3, s: infinities(c3, rest[1:], acc + [(s, len(h))]))

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,12 +15,14 @@ from tarski.formula import (
     Inv,
     Lt,
     Mul,
+    Opp,
     Var,
     eval_term,
     qf_eval,
     qf_form,
 )
 from tarski.lift import (
+    MPoly,
     abstrX,
     addF,
     dec,
@@ -29,6 +33,7 @@ from tarski.lift import (
     eval_poly,
     fold_formula,
     if_cps,
+    max_var_degree,
     mulF,
     norm_term,
     oppF,
@@ -36,8 +41,10 @@ from tarski.lift import (
     scaleF,
 )
 from tarski.poly import Poly
+from tarski.rational import sgr
 from tarski.signdet import count_with_signs, sign_vectors
 from tarski.sturm import NEG_INF, POS_INF
+from tarski.syntax import term_to_str
 
 from helpers import (
     check_decF_square,
@@ -52,6 +59,7 @@ from helpers import (
     ground_polyf,
     linear_factor_poly,
     rand_env,
+    rand_fraction,
     rand_int_poly,
     rand_polyf,
     rand_qf_formula,
@@ -107,6 +115,95 @@ def test_fold_formula_handles_nonpolynomial_atoms():
     g = fold_formula(f)
     for v in (F(2), F(0), F(-1)):
         assert qf_eval([v], f) == qf_eval([v], g)
+
+
+# -- the coefficient type -------------------------------------------------
+
+
+def _mp(t):
+    """A term's value built with MPoly's own operations, in a different
+    order from the one the module's term conversion uses."""
+    if isinstance(t, Var):
+        return MPoly.var(t.index)
+    if isinstance(t, Const):
+        return MPoly.const(t.value)
+    if isinstance(t, Add):
+        return _mp(t.right) + _mp(t.left)
+    if isinstance(t, Mul):
+        return _mp(t.right) * _mp(t.left)
+    if isinstance(t, Opp):
+        return -_mp(t.arg)
+    raise TypeError(t)
+
+
+def _value(env, m):
+    return eval_term(env, m.to_term())
+
+
+def test_mpoly_ring_operations_commute_with_evaluation():
+    rng = random.Random(720)
+    for _ in range(300):
+        a, b = _mp(rand_term(rng, 3, 3)), _mp(rand_term(rng, 3, 3))
+        c = rand_fraction(rng, 5)
+        n = rng.randrange(4)
+        env = rand_env(rng, 3)
+        va, vb = _value(env, a), _value(env, b)
+        assert _value(env, a + b) == va + vb
+        assert _value(env, -a) == -va
+        assert _value(env, a * b) == va * vb
+        assert _value(env, a.scale(c)) == c * va
+        assert _value(env, a ** n) == va ** n
+        g = a.ground()
+        assert g is None or g == va
+        canon, flip = a.canon()
+        vc = _value(env, canon)
+        assert sgr(va) == flip * sgr(vc)
+        if vc:
+            # the canonical value is a rescaling of a, by flip times a positive rational
+            assert canon.scale(va / vc) == a and sgr(va / vc) == flip
+
+
+def test_mpoly_equal_values_hash_equal():
+    x, y = Var(0), Var(1)
+    a = _mp(Mul(Add(x, y), Add(x, y)))
+    b = _mp(Add(Add(Mul(x, x), Mul(Const(F(2)), Mul(y, x))), Mul(y, y)))
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != a + MPoly.const(F(1))
+    rng = random.Random(721)
+    for _ in range(200):
+        t = rand_term(rng, 3, 3)
+        a, b = _mp(t), _mp(norm_term(t))
+        assert a == b and hash(a) == hash(b)
+
+
+def test_mpoly_canonical_values_are_interned():
+    x, y = Var(0), Var(1)
+    a = _mp(Add(Mul(Const(F(2)), x), Mul(Const(F(4)), y)))
+    b = _mp(Opp(Add(x, Mul(Const(F(2)), y))))
+    (ca, fa), (cb, fb) = a.canon(), b.canon()
+    assert ca is cb and (fa, fb) == (1, -1)
+    assert ca.canon() == (ca, 1)
+    assert ca.to_term() is cb.to_term()
+    # the intern table holds its values weakly
+    ref = weakref.ref(_mp(Add(Mul(x, Mul(x, y)), Const(F(5, 7)))).canon()[0])
+    gc.collect()
+    assert ref() is None
+
+
+def test_mpoly_term_text_matches_norm_term():
+    rng = random.Random(722)
+    for _ in range(200):
+        t = rand_term(rng, 4, 3)
+        assert term_to_str(_mp(t).to_term()) == term_to_str(norm_term(t))
+
+
+def test_max_var_degree():
+    x, y = Var(0), Var(1)
+    assert max_var_degree(Add(Mul(Mul(x, x), Mul(x, y)), Mul(y, y))) == 3
+    assert max_var_degree(Add(Mul(x, x), Opp(Mul(x, x)))) == 0
+    assert max_var_degree(Const(F(3))) == 0
+    assert max_var_degree(Inv(Var(0))) == 0
 
 
 # -- DT-function squares: symbolic ring operations ------------------------

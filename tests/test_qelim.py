@@ -1,11 +1,13 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from tarski.formula import free_vars, qf_eval, qf_form
 from tarski.qelim import check_equiv, decide, q_elim
-from tarski.syntax import parse_formula
+from tarski.syntax import formula_to_str, parse_formula
 
 from helpers import rand_env
 
@@ -138,3 +140,47 @@ def test_q_elim_on_open_formula_is_pointwise_equivalent():
     g = q_elim(f)
     assert qf_form(g)
     assert check_equiv(f, g, samples=60) is None
+
+
+# SHA-1 of formula_to_str(q_elim(f), names): the printed output is part of
+# the interface (its size is a benchmark metric), so any change to it must
+# be deliberate.
+OUTPUT_DIGESTS = [
+    ("exists x. x^2 + b*x + c = 0 /\\ x > 7", "b0a2f19229afdd55ee6e1da3a5d08e26702dde2c"),
+    ("exists x. a*x^2 + b*x + c = 0 /\\ x > 5/2", "f4be48c1587a024a023154ef3e441d53e717135c"),
+    ("exists x. x > a + 8/5 /\\ x < b + 3/2", "3edc1053ab9410ef101d7d87ddc9a4486c78f260"),
+    ("forall a. exists x. x^2 + a*x + b = 3/2", "615185d917ad07bc44452f0fb6225241d7908fdd"),
+]
+
+
+def _output_digest(text):
+    f, names = parse_formula(text)
+    g = q_elim(f)
+    return g, names, hashlib.sha1(formula_to_str(g, names).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("text,digest", OUTPUT_DIGESTS)
+def test_q_elim_output_text_is_pinned(text, digest):
+    assert _output_digest(text)[2] == digest
+
+
+def test_q_elim_quadratic_root_in_open_box():
+    # A cliff case: about 10 s when lift re-hashed term trees per lookup,
+    # so the budget catches a return to that cost.
+    text = "exists x. x^2 + b*x + c = 0 /\\ x > 5/4 /\\ x < 9/5"
+    t0 = time.monotonic()
+    g, names, digest = _output_digest(text)
+    assert time.monotonic() - t0 < 15
+    assert digest == "723bbeae181c3fbba483a173c08c571cc939c45a"
+    points = [
+        (Q(-3), Q(9, 4), True),  # double root 3/2
+        (Q(-5, 2), Q(25, 16), False),  # double root 5/4, the open end
+        (Q(-3), Q(2), False),  # roots 1 and 2
+        (Q(0), Q(1), False),  # no real root
+    ]
+    for b, c, expected in points:
+        env = [Q(0)] * len(names)
+        env[names.index("b")], env[names.index("c")] = b, c
+        ground = text.replace("b*x", f"({b})*x").replace("+ c", f"+ ({c})")
+        assert decide(parse_formula(ground)[0]) == expected
+        assert qf_eval(env, g) == expected
