@@ -4,8 +4,9 @@ isolate polynomial roots, and run Tarski queries and sign determination.
 Output is text by default or a single JSON object with keys "command",
 "input" and "result" under --format json; all rationals print exactly as
 "p/q" strings.  Exit codes: 0 success (and "true" for decide), 1 decide
-answered "false", 2 usage or semantic error.  Any argument of the form
-@path is replaced by the contents of that file.
+answered "false", 2 usage, semantic or internal error (such as input
+nested too deeply to parse).  Any argument of the form @path is replaced
+by the contents of that file.
 """
 
 from __future__ import annotations
@@ -311,11 +312,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # An uncaught exception would exit 1, which reads as "false".
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

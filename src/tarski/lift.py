@@ -30,7 +30,13 @@ Two ingredients keep the output from exploding:
 Pseudo-division multiplies through by an even power of the formal leading
 coefficient, so that whenever the evaluated leading coefficient is
 nonzero the multiplier is strictly positive and sign-change counts are
-untouched.
+untouched.  One loop computes it: remainder sequences use its remainder,
+and pseudo_divmod_cps rebuilds the quotient in closed form from the
+leading coefficients the loop eliminated.  Degrees are resolved by one
+zero-test walk, _whnf, from the top coefficient down, and sign changes
+at infinity are counted by the ground rule, sturm.var_signs_at_inf, on
+the signs the case splits resolve.  Input coefficients are checked once,
+on conversion: a non-constant Inv raises ValueError.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from .isolate import isolate_roots, sign_at_root
 from .poly import Poly
 from .rational import sgr
 from .signdet import exponent_vectors, first_count_weights
-from .sturm import NEG_INF, POS_INF, sign_at_inf
+from .sturm import NEG_INF, POS_INF, sign_at_inf, var_signs_at_inf
 
 PolyF = tuple[Term, ...]
 TermCont = Callable[[Term], Formula]
@@ -516,10 +522,6 @@ def abstrX(i: int, t: Term) -> PolyF:
     raise TypeError(f"not a term: {t!r}")
 
 
-def polyf_has_inv(p: PolyF) -> bool:
-    return any(F._has_inv(c) for c in p)
-
-
 # -- sign contexts ---------------------------------------------------------
 
 # A context maps canonical coefficients to the signs they may still take
@@ -652,30 +654,6 @@ def if_cps(cond: Formula, th: Formula, el: Formula) -> Formula:
     return _mk_ite(c, th, el)
 
 
-def _tail_zero(ctx: Ctx, cs: PolyM, k: Callable[[Ctx, bool], Formula]) -> Formula:
-    """Split on whether every coefficient in cs is zero."""
-    if not cs:
-        return k(ctx, True)
-    return _case_zero(
-        ctx,
-        cs[0],
-        lambda c, z: _tail_zero(c, cs[1:], k) if z else k(c, False),
-    )
-
-
-def _lcoef(ctx: Ctx, p: PolyM, k: Callable[[Ctx, MPoly], Formula]) -> Formula:
-    if not p:
-        return k(ctx, ZERO_M)
-    head, tail = p[0], p[1:]
-    return _tail_zero(ctx, tail, lambda c, z: k(c, head) if z else _lcoef(c, tail, k))
-
-
-def lcoef_cps(p: PolyF, k: TermCont) -> Formula:
-    """Continuation receives the leading coefficient of the evaluated
-    polynomial (0 for the zero polynomial)."""
-    return _lcoef({}, _coeffs(p), lambda _, m: k(m.to_term()))
-
-
 def _whnf(ctx: Ctx, p: PolyM, k: Callable[[Ctx, PolyM], Formula]) -> Formula:
     """Resolve the true degree: the continuation receives a prefix whose
     last coefficient is nonzero under the branch context (or ())."""
@@ -688,6 +666,12 @@ def _whnf(ctx: Ctx, p: PolyM, k: Callable[[Ctx, PolyM], Formula]) -> Formula:
     )
 
 
+def lcoef_cps(p: PolyF, k: TermCont) -> Formula:
+    """Continuation receives the leading coefficient of the evaluated
+    polynomial (0 for the zero polynomial)."""
+    return _whnf({}, _coeffs(p), lambda _, q: k(q[-1].to_term() if q else ZERO))
+
+
 def size_cps(p: PolyF, k: IntCont) -> Formula:
     """Continuation receives the size (degree + 1; 0 for zero) of the
     evaluated polynomial."""
@@ -697,75 +681,53 @@ def size_cps(p: PolyF, k: IntCont) -> Formula:
 _prem_cache: dict[tuple[PolyM, PolyM], PolyM] = {}
 
 
-def _prem_step(r: PolyM, q: PolyM, lc: MPoly, top: MPoly) -> PolyM:
-    """One pseudo-division step: lc * r - top * x^(deg r - deg q) * q,
-    without its (cancelled) leading coefficient."""
-    kdeg, dq = len(r) - 1, len(q) - 1
-    minus_top = (-top).terms
-    out = []
-    for j in range(kdeg):
-        acc: dict[_Mono, Fraction] = {}
-        _acc_mul(acc, lc.terms, r[j].terms)
-        shift = j - (kdeg - dq)
-        if 0 <= shift < dq:
-            _acc_mul(acc, minus_top, q[shift].terms)
-        out.append(MPoly(acc))
-    return tuple(out)
-
-
-def _pseudo_rem_even(p: PolyM, q: PolyM) -> PolyM:
-    """Pseudo-remainder of p by q with an even-power multiplier.
+def _pseudo_rem_even(p: PolyM, q: PolyM) -> tuple[PolyM, list[MPoly]]:
+    """Pseudo-remainder of p by q with an even-power multiplier, and the
+    leading coefficients eliminated at its steps, highest degree first.
 
     Both arguments must carry their true leading coefficient (whnf).  The
-    result has structural degree < deg q but is not itself whnf.
+    remainder has structural degree < deg q but is not itself whnf.
     """
     dp, dq = len(p) - 1, len(q) - 1
-    if dp < dq:
-        return p
     lc = q[-1]
     r = p
-    for _ in range(dp - dq + 1):
-        r = _prem_step(r, q, lc, r[-1])
-    if (dp - dq) % 2 == 0:
+    tops: list[MPoly] = []
+    for kdeg in range(dp, dq - 1, -1):
+        # r := lc * r - top * x^(kdeg - dq) * q, less its cancelled top term
+        top = r[-1]
+        tops.append(top)
+        minus_top = (-top).terms
+        out = []
+        for j in range(kdeg):
+            acc: dict[_Mono, Fraction] = {}
+            _acc_mul(acc, lc.terms, r[j].terms)
+            shift = j - (kdeg - dq)
+            if 0 <= shift < dq:
+                _acc_mul(acc, minus_top, q[shift].terms)
+            out.append(MPoly(acc))
+        r = tuple(out)
+    if len(tops) % 2 == 1:
         r = tuple(lc * c for c in r)
-    return r
+    return r, tops
 
 
 def pseudo_divmod_cps(p: PolyF, q: PolyF, k: Callable[[Term, PolyF, PolyF], Formula]) -> Formula:
     """Continuation receives (scalp, quot, rem) of the even-multiplier
     pseudo-division of the evaluated polynomials.  In the branch where q
     evaluates to zero the continuation receives (1, 0, p)."""
+
+    def divide(ph: PolyM, qh: PolyM) -> Formula:
+        if not qh:
+            return k(ONE, (), _terms(ph))
+        rem, tops = _pseudo_rem_even(ph, qh)
+        # scalp = lc^e with e = len(tops) rounded up to even; the top
+        # eliminated at step j is multiplied by lc at each later step.
+        lc, e = qh[-1], len(tops) + len(tops) % 2
+        quot = [top * lc ** (e - 1 - j) for j, top in enumerate(tops)]
+        return k((lc**e).to_term(), _terms(quot[::-1]), _terms(rem))
+
     qm = _coeffs(q)
-    return _whnf(
-        {},
-        _coeffs(p),
-        lambda c1, ph: _whnf(
-            c1,
-            qm,
-            lambda c2, qh: k(ONE, (), _terms(ph)) if not qh else _pseudo_divmod_terms(ph, qh, k),
-        ),
-    )
-
-
-def _pseudo_divmod_terms(p: PolyM, q: PolyM, k: Callable[[Term, PolyF, PolyF], Formula]) -> Formula:
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp < dq:
-        return k(ONE, (), _terms(p))
-    lc = q[-1]
-    r = p
-    quot = [ZERO_M] * (dp - dq + 1)
-    steps = dp - dq + 1
-    for kdeg in range(dp, dq - 1, -1):
-        top = r[-1]
-        quot = [lc * c for c in quot]
-        quot[kdeg - dq] = quot[kdeg - dq] + top
-        r = _prem_step(r, q, lc, top)
-    power = steps
-    if steps % 2 == 1:
-        r = tuple(lc * c for c in r)
-        quot = [lc * c for c in quot]
-        power += 1
-    return k((lc ** power).to_term(), _terms(quot), _terms(r))
+    return _whnf({}, _coeffs(p), lambda c1, ph: _whnf(c1, qm, lambda _, qh: divide(ph, qh)))
 
 
 def _sremp(ctx: Ctx, p: PolyM, q: PolyM, k: Callable[[Ctx, list[PolyM]], Formula]) -> Formula:
@@ -795,7 +757,7 @@ def _next_rem(p: PolyM, q: PolyM) -> PolyM:
     coefficients' canonical forms."""
     rem = _prem_cache.get((p, q))
     if rem is None:
-        rem = _prem_cache[(p, q)] = _primitiveF(_oppM(_pseudo_rem_even(p, q)))
+        rem = _prem_cache[(p, q)] = _primitiveF(_oppM(_pseudo_rem_even(p, q)[0]))
     return rem
 
 
@@ -823,16 +785,6 @@ def _lead_signs(ctx: Ctx, seq: Sequence[PolyM], k: Callable[[Ctx, list[int]], Fo
     )
 
 
-def _var_from_signs(signs: Sequence[int], sizes: Sequence[int], direction: int) -> int:
-    at_inf = []
-    for s, size in zip(signs, sizes):
-        if direction == NEG_INF and size % 2 == 0:
-            s = -s
-        if s != 0:
-            at_inf.append(s)
-    return sum(1 for a, b in zip(at_inf, at_inf[1:]) if a != b)
-
-
 def var_at_inf_cps(sp: Sequence[PolyF], direction: int, k: IntCont) -> Formula:
     """Continuation receives the sign-change count of the evaluated
     sequence at the chosen infinity (zero evaluations skipped)."""
@@ -844,7 +796,7 @@ def var_at_inf_cps(sp: Sequence[PolyF], direction: int, k: IntCont) -> Formula:
             return _lead_signs(
                 ctx,
                 acc,
-                lambda _, signs: k(_var_from_signs(signs, [len(e) for e in acc], direction)),
+                lambda _, signs: k(var_signs_at_inf(signs, [len(e) for e in acc], direction)),
             )
         return _whnf(ctx, rest[0], lambda c, h: resolve(c, rest[1:], acc + ([h] if h else [])))
 
@@ -854,20 +806,18 @@ def var_at_inf_cps(sp: Sequence[PolyF], direction: int, k: IntCont) -> Formula:
 def _var_sremp_inf_from(ctx: Ctx, ph: PolyM, q: PolyM, k: Callable[[Ctx, int], Formula]) -> Formula:
     """var at -oo minus var at +oo of the remainder sequence of (ph, q),
     with ph already whnf-resolved and nonzero."""
-    return _sremp_from(
-        ctx,
-        ph,
-        q,
-        lambda c, seq: _lead_signs(
+
+    def count(c: Ctx, seq: list[PolyM]) -> Formula:
+        sizes = [len(e) for e in seq]
+        return _lead_signs(
             c,
             seq,
             lambda c2, signs: k(
-                c2,
-                _var_from_signs(signs, [len(e) for e in seq], NEG_INF)
-                - _var_from_signs(signs, [len(e) for e in seq], POS_INF),
+                c2, var_signs_at_inf(signs, sizes, NEG_INF) - var_signs_at_inf(signs, sizes, POS_INF)
             ),
-        ),
-    )
+        )
+
+    return _sremp_from(ctx, ph, q, count)
 
 
 def var_sremp_inf_cps(p: PolyF, q: PolyF, k: IntCont) -> Formula:
@@ -944,8 +894,6 @@ def decF(p: PolyF, sq: Sequence[PolyF], on_zero: str = "strict") -> Formula:
     """Lifted counterpart of dec: a quantifier-free formula over the
     coefficient parameters whose truth at any environment equals
     dec(eval_poly(e, p), [eval_poly(e, q) ...])."""
-    if polyf_has_inv(p) or any(polyf_has_inv(q) for q in sq):
-        raise ValueError("decF requires Inv-free coefficients (run elim_inv first)")
     return _decF({}, _coeffs(p), [_coeffs(q) for q in sq], on_zero)
 
 
@@ -993,8 +941,6 @@ def _decF(ctx: Ctx, p: PolyM, sq: list[PolyM], on_zero: str) -> Formula:
 def decF_strict(sq: Sequence[PolyF]) -> Formula:
     """Lifted counterpart of dec_strict: true iff some point makes every
     constraint polynomial positive under the environment."""
-    if any(polyf_has_inv(q) for q in sq):
-        raise ValueError("decF_strict requires Inv-free coefficients")
     return _decF_strict({}, [_coeffs(q) for q in sq])
 
 

@@ -69,12 +69,19 @@ def sign_at_inf(p: Poly, direction: int) -> int:
     return s
 
 
-def var_at_inf(sp: Sequence[Poly], direction: int) -> int:
-    """Sign changes of the signs-at-infinity of the sequence elements."""
+def var_signs_at_inf(lead_signs: Sequence[int], sizes: Sequence[int], direction: int) -> int:
+    """Sign changes at the chosen infinity of polynomials given by the
+    signs of their leading coefficients and their sizes (degree + 1): at
+    -oo an even size flips the sign.  Zero signs are skipped."""
     if direction not in (NEG_INF, POS_INF):
         raise ValueError("direction must be NEG_INF or POS_INF")
-    signs = [sign_at_inf(p, direction) for p in sp if not p.is_zero]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    flip = direction == NEG_INF
+    return var([-s if flip and size % 2 == 0 else s for s, size in zip(lead_signs, sizes)])
+
+
+def var_at_inf(sp: Sequence[Poly], direction: int) -> int:
+    """Sign changes of the signs-at-infinity of the sequence elements."""
+    return var_signs_at_inf([sgr(p.lc) for p in sp], [p.size for p in sp], direction)
 
 
 def var_sremp_inf(p: Poly, q: Poly) -> int:

@@ -180,6 +180,14 @@ def test_max_degree_guard(capsys, monkeypatch):
     assert code == 0
 
 
+def test_deeply_nested_input_exit_2(capsys, tmp_path):
+    # a RecursionError must not exit 1, which reads as "false"
+    path = tmp_path / "deep.txt"
+    path.write_text("exists x. " + "(" * 60000 + "x" + ")" * 60000 + " = 1")
+    code, _, err = run_cli(capsys, "decide", f"@{path}")
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_at_file_indirection(capsys, tmp_path):
     path = tmp_path / "formula.txt"
     path.write_text("exists x. x^2 = 2\n")

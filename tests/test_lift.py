@@ -436,6 +436,12 @@ def test_decF_rejects_inv():
         decF_strict([(Inv(Var(0)),)])
 
 
+def test_decF_accepts_constant_inv():
+    # -1 + x/2 has the root 2; a constant Inv normalizes to a rational
+    assert decF((Const(F(-1)), Inv(Const(F(2)))), []) == TRUE
+    assert decF_strict([(Inv(Const(F(-2))),)]) == FALSE
+
+
 def test_decF_parametric_quadratic_sign():
     # exists x. x^2 + bx + c = 0 must match the discriminant b^2 - 4c >= 0
     b, c = Var(0), Var(1)

@@ -150,6 +150,9 @@ OUTPUT_DIGESTS = [
     ("exists x. a*x^2 + b*x + c = 0 /\\ x > 5/2", "f4be48c1587a024a023154ef3e441d53e717135c"),
     ("exists x. x > a + 8/5 /\\ x < b + 3/2", "3edc1053ab9410ef101d7d87ddc9a4486c78f260"),
     ("forall a. exists x. x^2 + a*x + b = 3/2", "615185d917ad07bc44452f0fb6225241d7908fdd"),
+    # remainder sequences with pseudo-divisions of two, three and four steps
+    ("exists x. x^2 + a*x + b = 0 /\\ 1/2*x^2 + c*x + 6/5 = 0", "7fb51ba4f18299e89a41b85ad6e25d271ff50faa"),
+    ("exists x. x^3 + a*x^2 + b*x + c = 0 /\\ x > 4", "829974ce2afdba53755abe8d126f70ffe1cd8e9d"),
 ]
 
 

@@ -69,6 +69,8 @@ def test_var_at_inf_matches_far_evaluation():
     for _ in range(200):
         seq = [rand_nonzero_poly(rng, 5) for _ in range(rng.randint(1, 5))]
         b = max(p.cauchy_bound() for p in seq) + 1
+        for _ in range(rng.randrange(3)):
+            seq.insert(rng.randrange(len(seq) + 1), Poly([]))
         assert var_at_inf(seq, POS_INF) == var([p.eval(b) for p in seq])
         assert var_at_inf(seq, NEG_INF) == var([p.eval(-b) for p in seq])
     with pytest.raises(ValueError):
