@@ -5,6 +5,10 @@ bound box: the Cauchy bound is a strict bound on root absolute values, so
 the open box ]-cb, cb[ contains every root and its endpoints are safe
 evaluation points.  Each isolating interval is open, has non-root
 endpoints and contains exactly one distinct real root.
+
+Each query reads one remainder sequence: isolation and refinement bisect
+on the Sturm chain of the square-free part, and the sign of q at the root
+of p in ]a, b[ is the Tarski query varp(a, b, sremp(p, p'q)).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional
 
 from .intervals import Interval, format_interval, open_
 from .poly import Poly
-from .sturm import NEG_INF, POS_INF, sremp, var, var_at_inf
+from .sturm import NEG_INF, POS_INF, sremp, var, var_at_inf, varp
 
 
 @dataclass(frozen=True)
@@ -105,15 +109,13 @@ def isolate_roots(p: Poly) -> list[IsolatedRoot]:
         stack.append((m, b, n - left))
     out.sort(key=lambda i: i.lo.value)
 
+    # The Yun factor holding a root changes sign across its interval: each
+    # factor is square-free, with no root at the ends and at most one inside.
     decomposition = p.squarefree_decomposition()
     roots = []
     for iso in out:
-        multiplicity = 0
-        for factor, k in decomposition:
-            if count_roots(factor, iso) == 1:
-                multiplicity = k
-                break
-        roots.append(IsolatedRoot(iso, multiplicity))
+        a, b = iso.lo.value, iso.hi.value
+        roots.append(IsolatedRoot(iso, next(k for f, k in decomposition if f.eval(a) * f.eval(b) < 0)))
     return roots
 
 
@@ -126,52 +128,35 @@ def refine(p: Poly, iso: Interval, eps: Fraction) -> Interval:
         raise ValueError("refine requires finite bounds")
     if count_roots(p, iso) != 1:
         raise ValueError("interval does not isolate exactly one root")
+    g = p.squarefree_part()
+    chain = sremp(g, g.deriv())
     a, b = iso.lo.value, iso.hi.value
-    for value in (a, b):
-        if p.eval(value) == 0:
+    for r in (a, b):
+        if g.eval(r) == 0:
             # The isolated root sits on a closed endpoint: box it tightly.
-            return _box_rational_root(p, value, eps)
+            d = eps / 2
+            while g.eval(r - d) == 0 or g.eval(r + d) == 0 or _count_open(g, chain, r - d, r + d) != 1:
+                d /= 2
+            return open_(r - d, r + d)
     while b - a > eps:
-        m = _nonroot_cut(p, a, b)
-        if count_roots(p, open_(a, m)) == 1:
+        m = _nonroot_cut(g, a, b)
+        if _count_open(g, chain, a, m) == 1:
             b = m
         else:
             a = m
     return open_(a, b)
 
 
-def _box_rational_root(p: Poly, r: Fraction, eps: Fraction) -> Interval:
-    delta = eps / 2
-    while True:
-        iso = open_(r - delta, r + delta)
-        if p.eval(r - delta) != 0 and p.eval(r + delta) != 0 and count_roots(p, iso) == 1:
-            return iso
-        delta /= 2
-
-
 def sign_at_root(p: Poly, iso: Interval, q: Poly) -> int:
-    """Sign of q at the unique root of p inside the open isolating
-    interval, computed exactly: a shared root gives 0, otherwise the
-    interval is shrunk until q is sign-constant on it."""
-    if q.is_zero:
-        return 0
-    g = p.squarefree_part()
-    if count_roots(g, iso) != 1:
-        raise ValueError("interval does not isolate exactly one root")
-    if q.degree >= 1:
-        h = g.gcd(q)
-        if h.degree >= 1 and count_roots(h, iso) == 1:
-            return 0
+    """Sign of q at the unique root of p in the interval, exactly: the
+    Tarski query of q on ]a, b[.  Raises ValueError unless the bounds are
+    finite non-roots of p with one distinct root of p between them."""
+    if iso.lo.infinite or iso.hi.infinite:
+        raise ValueError("sign_at_root requires finite bounds")
     a, b = iso.lo.value, iso.hi.value
-    while q.degree >= 1 and count_roots(q, open_(a, b)) > 0:
-        m = _nonroot_cut(g, a, b)
-        if count_roots(g, open_(a, m)) == 1:
-            b = m
-        else:
-            a = m
-    t = _nonroot_cut(q, a, b) if q.degree >= 1 else a
-    value = q.eval(t)
-    return (value > 0) - (value < 0)
+    if p.eval(a) == 0 or p.eval(b) == 0 or count_roots(p, iso) != 1:
+        raise ValueError("interval does not isolate exactly one root of p off its ends")
+    return varp(a, b, sremp(p, p.deriv() * q))
 
 
 def sample_right(p: Poly, x: Fraction) -> Fraction:

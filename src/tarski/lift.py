@@ -846,22 +846,17 @@ def monic_cps(p: PolyF, k: PolyCont) -> Formula:
 # -- the univariate decision and its lifted counterpart -------------------
 
 
-def dec(p: Poly, sq: Sequence[Poly], on_zero: str = "strict") -> bool:
+def dec(p: Poly, sq: Sequence[Poly]) -> bool:
     """Decide "exists x, p(x) = 0 and all q(x) > 0" over the reals, by
     checking the signs of the constraints at each isolated root of p.
 
-    With on_zero="strict", the zero polynomial (satisfied everywhere)
-    delegates to dec_strict; with on_zero="false" that case is decided
-    false (used below where the caller covers it separately).
+    The zero polynomial vanishes everywhere, so that case is dec_strict.
     """
     if p.is_zero:
-        return dec_strict(sq) if on_zero == "strict" else False
-    if p.degree == 0:
-        return False
-    g = p.squarefree_part()
+        return dec_strict(sq)
     return any(
-        all(sign_at_root(g, root.interval, q) == 1 for q in sq)
-        for root in isolate_roots(g)
+        all(sign_at_root(p, root.interval, q) == 1 for q in sq)
+        for root in isolate_roots(p)
     )
 
 
@@ -880,7 +875,7 @@ def dec_strict(sq: Sequence[Poly]) -> bool:
     dprod = prod.deriv()
     if dprod.is_zero:
         return False
-    return dec(dprod, sq, on_zero="false")
+    return dec(dprod, sq)
 
 
 def _prod_powF(sq: Sequence[PolyM], eps: Sequence[int]) -> PolyM:
@@ -890,11 +885,12 @@ def _prod_powF(sq: Sequence[PolyM], eps: Sequence[int]) -> PolyM:
     return out
 
 
-def decF(p: PolyF, sq: Sequence[PolyF], on_zero: str = "strict") -> Formula:
+def decF(p: PolyF, sq: Sequence[PolyF]) -> Formula:
     """Lifted counterpart of dec: a quantifier-free formula over the
     coefficient parameters whose truth at any environment equals
-    dec(eval_poly(e, p), [eval_poly(e, q) ...])."""
-    return _decF({}, _coeffs(p), [_coeffs(q) for q in sq], on_zero)
+    dec(eval_poly(e, p), [eval_poly(e, q) ...]); where p evaluates to
+    zero, that is decF_strict(sq)."""
+    return _decF({}, _coeffs(p), [_coeffs(q) for q in sq])
 
 
 def _groundF(p: PolyM) -> Optional[Poly]:
@@ -904,16 +900,16 @@ def _groundF(p: PolyM) -> Optional[Poly]:
     return Poly(values)
 
 
-def _decF(ctx: Ctx, p: PolyM, sq: list[PolyM], on_zero: str) -> Formula:
+def _decF(ctx: Ctx, p: PolyM, sq: list[PolyM]) -> Formula:
     pg = _groundF(p)
     if pg is not None:
         sgs = [_groundF(q) for q in sq]
         if all(g is not None for g in sgs):
-            return Bool(dec(pg, sgs, on_zero))
+            return Bool(dec(pg, sgs))
 
     def after(ctx2: Ctx, ph: PolyM) -> Formula:
         if not ph:
-            return _decF_strict(ctx2, sq) if on_zero == "strict" else F.FALSE
+            return _decF_strict(ctx2, sq)
         if len(ph) == 1:
             return F.FALSE
         n = len(sq)
@@ -955,7 +951,7 @@ def _decF_strict(ctx: Ctx, sq: list[PolyM]) -> Formula:
         prod: PolyM = (ONE_M,)
         for q in sq:
             prod = _mulM(prod, q)
-        return _decF(c, _derivM(prod), sq, on_zero="false")
+        return _whnf(c, _derivM(prod), lambda c2, d: _decF(c2, d, sq) if d else F.FALSE)
 
     def infinities(c: Ctx, rest: Sequence[PolyM], acc: list[tuple[int, int]]) -> Formula:
         # acc holds (lead sign, size) pairs; a zero polynomial makes the

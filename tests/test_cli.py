@@ -98,6 +98,16 @@ def test_roots_interval_filter_and_approx(capsys):
     assert "~ 1.4142" in lines[0]
 
 
+def test_roots_readme_example_intervals(capsys):
+    code, out, _ = run_cli(capsys, "roots", "x^3 - 2*x + 1", "--eps", "1/1000000", "--approx", "4")
+    assert code == 0
+    assert out.strip().splitlines() == [
+        "]-212079/131072,-1696631/1048576[ (multiplicity 1) ~ -1.6180",
+        "]1296111/2097152,2592225/4194304[ (multiplicity 1) ~ 0.6180",
+        "]4194303/4194304,2097153/2097152[ (multiplicity 1) ~ 1.0000",
+    ]
+
+
 def test_roots_json(capsys):
     code, out, _ = run_cli(capsys, "roots", "x^2 - 2", "--format", "json")
     doc = json.loads(out)

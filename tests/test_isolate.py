@@ -109,6 +109,14 @@ def test_refine_validates_input():
         refine(p, open_(F(5), F(6)), F(1, 100))
 
 
+def test_refine_boxes_a_root_on_a_closed_end():
+    # x^2 - x on [0, 1/2]: the root 0 is the closed lower end
+    p = Poly([F(0), F(-1), F(1)])
+    tight = refine(p, closed(F(0), F(1, 2)), F(1, 100))
+    assert tight.hi.value - tight.lo.value <= F(1, 100)
+    assert mem(F(0), tight) and count_roots(p, tight) == 1
+
+
 def test_sign_at_root_exact():
     # root of x^2 - 2 in ]1, 2[ is sqrt(2)
     p = Poly([F(-2), F(0), F(1)])
@@ -127,6 +135,56 @@ def test_sign_at_root_random_rational_roots():
         q = rand_int_poly(rng, 4)
         for root, (r, _) in zip(isolate_roots(p), sorted(roots.items())):
             assert sign_at_root(p, root.interval, q) == sgr(q.eval(r))
+
+
+def test_sign_at_root_rejects_a_root_on_a_closed_end():
+    # x^2 - x has roots 0 and 1; [0, 1/2] holds 0, on its closed end
+    p = Poly([F(0), F(-1), F(1)])
+    with pytest.raises(ValueError):
+        sign_at_root(p, closed(F(0), F(1, 2)), Poly([F(-1, 4), F(1)]))
+
+
+def test_sign_at_root_rejects_infinite_bounds():
+    with pytest.raises(ValueError):
+        sign_at_root(Poly([F(-2), F(1)]), full_line(), Poly([F(1)]))
+
+
+def _below_sqrt(a, s, k):
+    """a < s*sqrt(k) for a rational a, s = +-1 and a non-square k > 0."""
+    return a < 0 or a * a < k if s > 0 else a < 0 and a * a > k
+
+
+def _sign_at_sqrt(q, s, k):
+    """Exact sign of q(s*sqrt(k)) = A + B*s*sqrt(k), comparing A^2 with k*B^2."""
+    a = sum(c * k ** (j // 2) for j, c in enumerate(q.coeffs) if j % 2 == 0)
+    b = s * sum(c * k ** (j // 2) for j, c in enumerate(q.coeffs) if j % 2 == 1)
+    if sgr(a) * sgr(b) >= 0:
+        return sgr(a) or sgr(b)
+    return sgr(a) if a * a > k * b * b else sgr(b)
+
+
+def test_sign_at_root_and_multiplicity_at_irrational_roots():
+    # p = (x^2 - k)^m * prod (x - r_i): the roots +-sqrt(k) are irrational,
+    # and the reference sign there is exact arithmetic in Q(sqrt(k)).
+    rng = random.Random(406)
+    for _ in range(60):
+        k = rng.choice([F(2), F(3), F(5), F(7), F(2, 3), F(5, 2)])
+        m = rng.choice([1, 1, 2])
+        rational = {rand_fraction(rng, 6) for _ in range(rng.randint(0, 2))}
+        square = Poly([-k, F(0), F(1)])
+        p = Poly.from_roots(sorted(rational)) * square ** m
+        q = rand_int_poly(rng, 4)
+        if rng.random() < 0.25:
+            q = q * square
+        for root in isolate_roots(p):
+            lo, hi = root.interval.lo.value, root.interval.hi.value
+            held = [(s, _sign_at_sqrt(q, s, k), m) for s in (1, -1)
+                    if _below_sqrt(lo, s, k) and not _below_sqrt(hi, s, k)]
+            held += [(r, sgr(q.eval(r)), 1) for r in rational if lo < r < hi]
+            assert len(held) == 1
+            _, sign, multiplicity = held[0]
+            assert sign_at_root(p, root.interval, q) == sign
+            assert root.multiplicity == multiplicity
 
 
 def test_sample_right_has_no_root_in_between():
