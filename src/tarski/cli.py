@@ -191,6 +191,8 @@ def _cmd_roots(args) -> int:
     eps = _parse_rational_arg(args.eps) if args.eps else None
     if eps is not None and eps <= 0:
         raise CliError("--eps must be positive")
+    if args.approx is not None and args.approx < 0:
+        raise CliError("--approx must be non-negative")
 
     roots = []
     for root in isolate_roots(p):

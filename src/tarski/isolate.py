@@ -6,20 +6,23 @@ the open box ]-cb, cb[ contains every root and its endpoints are safe
 evaluation points.  Each isolating interval is open, has non-root
 endpoints and contains exactly one distinct real root.
 
-Each query reads one remainder sequence: isolation and refinement bisect
-on the Sturm chain of the square-free part, and the sign of q at the root
-of p in ]a, b[ is the Tarski query varp(a, b, sremp(p, p'q)).
+A root count is Sturm's count, the Tarski query of 1 on sremp(p, p'): it
+needs no square-free part while the ends are not roots of p.  Isolation
+bisects on the Sturm chain of the square-free part, refinement by the sign
+of the square-free part, which changes once across each root, and the sign
+of q at the root of p in ]a, b[ is the Tarski query varp(a, b, sremp(p, p'q)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import prod
 
-from .intervals import Interval, format_interval, open_
+from .intervals import Interval, closed, finite, format_interval, open_
 from .poly import Poly
-from .sturm import NEG_INF, POS_INF, sremp, var, var_at_inf, varp
+from .rational import sgr
+from .sturm import sremp, varp
 
 
 @dataclass(frozen=True)
@@ -31,56 +34,38 @@ class IsolatedRoot:
         return f"{format_interval(self.interval)} (multiplicity {self.multiplicity})"
 
 
-def _var_end(chain: list[Poly], endpoint: Optional[Fraction], direction: int) -> int:
-    if endpoint is None:
-        return var_at_inf(chain, direction)
-    return var([p.eval(endpoint) for p in chain])
-
-
-def _count_open(g: Poly, chain: list[Poly], a: Optional[Fraction], b: Optional[Fraction]) -> int:
-    """Distinct roots of square-free g in ]a, b[ (None meaning -+oo);
-    requires finite endpoints to be non-roots of g."""
-    if a is not None and b is not None and a >= b:
-        return 0
-    return _var_end(chain, a, NEG_INF) - _var_end(chain, b, POS_INF)
-
-
 def count_roots(p: Poly, i: Interval) -> int:
     """Number of distinct real roots of p inside the interval.
 
-    Finite endpoints that happen to be roots are handled by stripping the
-    corresponding linear factor before Sturm counting, then adding the
-    endpoint back when its bound is closed.
+    A finite endpoint that is a root is divided out of p with its full
+    multiplicity before Sturm counting, then added back when its bound is
+    closed.
     """
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    g = p.squarefree_part()
     a = None if i.lo.infinite else i.lo.value
     b = None if i.hi.infinite else i.hi.value
+    if a is not None and b is not None and a >= b:
+        return int(a == b and i.lo.closed and i.hi.closed and p.eval(a) == 0)
     extra = 0
     for value, bound in ((a, i.lo), (b, i.hi)):
-        if value is not None and g.eval(value) == 0:
-            g = g // Poly([-value, Fraction(1)])
+        if value is not None and p.eval(value) == 0:
+            lin = Poly([-value, Fraction(1)])
+            while p.eval(value) == 0:
+                p = p // lin
             if bound.closed:
                 extra += 1
-    if a is not None and b is not None and a > b:
-        return 0
-    if a is not None and b is not None and a == b:
-        return extra if (i.lo.closed and i.hi.closed) else 0
-    if g.degree < 1:
-        return extra
-    chain = sremp(g, g.deriv())
-    return _count_open(g, chain, a, b) + extra
+    return varp(a, b, sremp(p, p.deriv())) + extra
 
 
-def _nonroot_cut(g: Poly, a: Fraction, b: Fraction) -> Fraction:
-    """A point strictly inside ]a, b[ that is not a root of g."""
+def _nonroot_cut(g: Poly, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """A point m strictly inside ]a, b[ that is not a root of g, and g(m)."""
     m = (a + b) / 2
     step = (b - a) / 4
-    while g.eval(m) == 0:
+    while (value := g.eval(m)) == 0:
         m += step
         step /= 2
-    return m
+    return m, value
 
 
 def isolate_roots(p: Poly) -> list[IsolatedRoot]:
@@ -90,12 +75,12 @@ def isolate_roots(p: Poly) -> list[IsolatedRoot]:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree < 1:
         return []
-    g = p.squarefree_part()
+    decomposition = p.squarefree_decomposition()
+    g = prod((f for f, _ in decomposition), start=Poly.const(Fraction(1)))
     cb = p.cauchy_bound()
     chain = sremp(g, g.deriv())
-    total = _count_open(g, chain, -cb, cb)
     out: list[Interval] = []
-    stack = [(-cb, cb, total)]
+    stack = [(-cb, cb, varp(-cb, cb, chain))]
     while stack:
         a, b, n = stack.pop()
         if n == 0:
@@ -103,15 +88,14 @@ def isolate_roots(p: Poly) -> list[IsolatedRoot]:
         if n == 1:
             out.append(open_(a, b))
             continue
-        m = _nonroot_cut(g, a, b)
-        left = _count_open(g, chain, a, m)
+        m, _ = _nonroot_cut(g, a, b)
+        left = varp(a, m, chain)
         stack.append((a, m, left))
         stack.append((m, b, n - left))
     out.sort(key=lambda i: i.lo.value)
 
     # The Yun factor holding a root changes sign across its interval: each
     # factor is square-free, with no root at the ends and at most one inside.
-    decomposition = p.squarefree_decomposition()
     roots = []
     for iso in out:
         a, b = iso.lo.value, iso.hi.value
@@ -129,21 +113,23 @@ def refine(p: Poly, iso: Interval, eps: Fraction) -> Interval:
     if count_roots(p, iso) != 1:
         raise ValueError("interval does not isolate exactly one root")
     g = p.squarefree_part()
-    chain = sremp(g, g.deriv())
     a, b = iso.lo.value, iso.hi.value
-    for r in (a, b):
-        if g.eval(r) == 0:
+    for r, bound in ((a, iso.lo), (b, iso.hi)):
+        if bound.closed and g.eval(r) == 0:
             # The isolated root sits on a closed endpoint: box it tightly.
             d = eps / 2
-            while g.eval(r - d) == 0 or g.eval(r + d) == 0 or _count_open(g, chain, r - d, r + d) != 1:
+            while count_roots(p, closed(r - d, r + d)) != 1:
                 d /= 2
             return open_(r - d, r + d)
+    # g is square-free with one root in ]a, b[, so its sign flips there
+    # once; on an open end that is a root, g' gives the sign just inside.
+    left = sgr(g.eval(a)) or sgr(g.deriv().eval(a))
     while b - a > eps:
-        m = _nonroot_cut(g, a, b)
-        if _count_open(g, chain, a, m) == 1:
-            b = m
-        else:
+        m, value = _nonroot_cut(g, a, b)
+        if sgr(value) == left:
             a = m
+        else:
+            b = m
     return open_(a, b)
 
 
@@ -164,14 +150,7 @@ def sample_right(p: Poly, x: Fraction) -> Fraction:
     is then the sign of p immediately right of x."""
     if p.is_zero:
         raise ValueError("sample_right of the zero polynomial")
-    h = p.squarefree_part() if p.degree >= 1 else p
-    lin = Poly([-x, Fraction(1)])
-    while h.degree >= 1 and h.eval(x) == 0:
-        h = h // lin
     y = x + 1
-    while h.degree >= 1:
-        inside = count_roots(h, open_(x, y)) + (1 if h.eval(y) == 0 else 0)
-        if inside == 0:
-            break
+    while count_roots(p, Interval(finite(x, False), finite(y, True))) > 0:
         y = x + (y - x) / 2
     return y

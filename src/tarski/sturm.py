@@ -9,7 +9,7 @@ the first (the Sturm--Tarski correspondence validated in the tests).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .poly import Poly
 from .rational import sgr
@@ -43,9 +43,12 @@ def sremp(p: Poly, q: Poly) -> list[Poly]:
         seq.append(r)
 
 
-def varp(a: Fraction, b: Fraction, sp: Sequence[Poly]) -> int:
-    """var of the evaluations at a minus var of the evaluations at b."""
-    return var([p.eval(a) for p in sp]) - var([p.eval(b) for p in sp])
+def varp(a: Optional[Fraction], b: Optional[Fraction], sp: Sequence[Poly]) -> int:
+    """var of the evaluations at a minus var of the evaluations at b; a
+    None end reads as -oo for a and +oo for b, through the signs at infinity."""
+    va = var_at_inf(sp, NEG_INF) if a is None else var([p.eval(a) for p in sp])
+    vb = var_at_inf(sp, POS_INF) if b is None else var([p.eval(b) for p in sp])
+    return va - vb
 
 
 def var_sremp(a: Fraction, b: Fraction, p: Poly, q: Poly) -> int:
@@ -87,8 +90,7 @@ def var_at_inf(sp: Sequence[Poly], direction: int) -> int:
 def var_sremp_inf(p: Poly, q: Poly) -> int:
     """var_sremp over the whole real line, evaluated at +-oo through the
     leading coefficients."""
-    seq = sremp(p, q)
-    return var_at_inf(seq, NEG_INF) - var_at_inf(seq, POS_INF)
+    return varp(None, None, sremp(p, q))
 
 
 def tarski_query(p: Poly, q: Poly) -> int:

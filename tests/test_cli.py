@@ -124,6 +124,14 @@ def test_roots_zero_poly_exit_2(capsys):
     assert "zero polynomial" in err
 
 
+@pytest.mark.parametrize("digits", ["-1", "-3"])
+def test_roots_negative_approx_exit_2(capsys, digits):
+    code, out, err = run_cli(capsys, "roots", "x^2 - 2", "--approx", digits)
+    assert code == 2
+    assert out == ""
+    assert "error: --approx must be non-negative" in err
+
+
 def test_taq(capsys):
     # roots of x^2 - 1 are +-1; signs of x there sum to 0
     code, out, _ = run_cli(capsys, "taq", "x^2 - 1", "x")

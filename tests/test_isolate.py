@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from tarski.intervals import closed, full_line, is_empty, mem, open_
+from tarski.intervals import INF, Interval, closed, finite, format_interval, full_line, is_empty, mem, open_
 from tarski.isolate import (
     count_roots,
     isolate_roots,
@@ -41,6 +42,22 @@ def test_count_roots_matches_membership_on_rational_roots():
         b = a + F(rng.randint(0, 6), rng.randint(1, 3))
         i = closed(a, b) if rng.random() < 0.5 else open_(a, b)
         assert count_roots(p, i) == sum(1 for r in roots if mem(r, i))
+
+
+def test_count_roots_with_repeated_roots_on_the_ends():
+    # Both ends are roots of multiplicity 2 or 3; every open/closed/infinite
+    # combination of bounds is checked against membership.
+    rng = random.Random(407)
+    for _ in range(60):
+        p, roots = linear_factor_poly(rng, max_factors=3)
+        a, b = sorted(rng.sample(sorted({rand_fraction(rng, 6) for _ in range(8)} - set(roots)), 2))
+        for r, m in ((a, rng.choice([2, 3])), (b, rng.choice([2, 3]))):
+            p = p * Poly([-r, F(1)]) ** m
+            roots[r] = m
+        for lo in (finite(a, False), finite(a, True), INF):
+            for hi in (finite(b, False), finite(b, True), INF):
+                i = Interval(lo, hi)
+                assert count_roots(p, i) == sum(1 for r in roots if mem(r, i))
 
 
 def test_isolate_roots_structure():
@@ -115,6 +132,31 @@ def test_refine_boxes_a_root_on_a_closed_end():
     tight = refine(p, closed(F(0), F(1, 2)), F(1, 100))
     assert tight.hi.value - tight.lo.value <= F(1, 100)
     assert mem(F(0), tight) and count_roots(p, tight) == 1
+
+
+def test_refine_with_a_root_on_an_open_end():
+    # x^2 - x on ]0, 2[: the root 0 is an open end, the isolated root is 1
+    p = Poly([F(0), F(-1), F(1)])
+    tight = refine(p, open_(F(0), F(2)), F(1, 100))
+    assert tight.hi.value - tight.lo.value <= F(1, 100)
+    assert mem(F(1), tight) and count_roots(p, tight) == 1
+
+
+def test_refine_at_roots_of_even_multiplicity():
+    # p keeps its sign across a root of even multiplicity; only the
+    # square-free part changes sign there.
+    rng = random.Random(408)
+    eps = F(1, 10 ** 6)
+    for _ in range(40):
+        p, roots = linear_factor_poly(rng, max_factors=3, max_mult=1)
+        for r in rng.sample(sorted(roots), rng.randint(1, len(roots))):
+            extra = rng.choice([1, 3])
+            p = p * Poly([-r, F(1)]) ** extra
+            roots[r] += extra
+        for root, r in zip(isolate_roots(p), sorted(roots)):
+            tight = refine(p, root.interval, eps)
+            assert tight.hi.value - tight.lo.value <= eps
+            assert mem(r, tight)
 
 
 def test_sign_at_root_exact():
@@ -196,3 +238,50 @@ def test_sample_right_has_no_root_in_between():
         assert y > x
         assert p.eval(y) != 0
         assert count_roots(p, open_(x, y)) == 0
+
+
+def test_sample_right_at_roots_of_even_multiplicity():
+    # x is a root of multiplicity 2 or 4 with the next root within 1 of it,
+    # so the first candidate y = x + 1 must be halved.
+    rng = random.Random(409)
+    for _ in range(60):
+        p, roots = linear_factor_poly(rng, max_factors=3)
+        x = rand_fraction(rng, 6)
+        nxt = x + F(rng.randint(1, 9), 10)
+        if x in roots or nxt in roots:
+            continue
+        for r, m in ((x, rng.choice([2, 4])), (nxt, rng.randint(1, 3))):
+            p = p * Poly([-r, F(1)]) ** m
+            roots[r] = m
+        y = sample_right(p, x)
+        assert y > x
+        assert not any(x < r <= y for r in roots)
+        # the sign just right of x, from the factorization
+        right = sgr(p.lc) * (-1) ** sum(m for r, m in roots.items() if r > x)
+        assert sgr(p.eval(y)) == right
+
+
+# SHA-1 of the root layer's output on a fixed seeded set: the intervals
+# are printed by `tarski roots`, so any change to them must be deliberate.
+ROOT_LAYER_DIGEST = "d2a84e840242e62cb96470536113e967713eea27"
+
+
+def _root_layer_text(p):
+    lines = []
+    for root in isolate_roots(p):
+        tight = refine(p, root.interval, F(1, 10 ** 6))
+        lines.append(f"{format_interval(root.interval)} {root.multiplicity} {format_interval(tight)}")
+    return "\n".join(lines)
+
+
+def test_root_layer_output_is_pinned():
+    # repeated rational roots times (x^2 - k)^m
+    rng = random.Random(410)
+    texts = []
+    for _ in range(40):
+        p, _ = linear_factor_poly(rng, max_factors=3)
+        k = rng.choice([F(2), F(3), F(5), F(2, 3), F(7, 2)])
+        p = p * Poly([-k, F(0), F(1)]) ** rng.randint(1, 2)
+        texts.append(_root_layer_text(p))
+    digest = hashlib.sha1("\n\n".join(texts).encode()).hexdigest()
+    assert digest == ROOT_LAYER_DIGEST

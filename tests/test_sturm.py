@@ -73,6 +73,11 @@ def test_var_at_inf_matches_far_evaluation():
             seq.insert(rng.randrange(len(seq) + 1), Poly([]))
         assert var_at_inf(seq, POS_INF) == var([p.eval(b) for p in seq])
         assert var_at_inf(seq, NEG_INF) == var([p.eval(-b) for p in seq])
+        # a None end of varp is the infinity on its side
+        a = F(1, 3)
+        assert varp(None, None, seq) == varp(-b, b, seq)
+        assert varp(a, None, seq) == varp(a, b, seq)
+        assert varp(None, a, seq) == varp(-b, a, seq)
     with pytest.raises(ValueError):
         var_at_inf([], 0)
 
