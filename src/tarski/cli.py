@@ -155,6 +155,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_qelim(args) -> int:
+    if args.check < 0:
+        raise CliError("--check must be non-negative")
     f, names = _parse_formula_arg(args.formula)
     g = q_elim(f)
     if args.check:

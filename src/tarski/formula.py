@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 
 # -- terms ----------------------------------------------------------------
@@ -127,24 +127,68 @@ def sub(a: Term, b: Term) -> Term:
     return Add(a, Opp(b))
 
 
+def balanced(parts: Sequence, op: Callable, empty=None):
+    """Combine parts with op in a balanced tree, so that depth stays
+    logarithmic; empty when there are no parts."""
+    if not parts:
+        return empty
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return op(balanced(parts[:mid], op), balanced(parts[mid:], op))
+
+
 def and_all(fs: Sequence[Formula]) -> Formula:
     """Balanced conjunction of a formula list (True when empty)."""
-    if not fs:
-        return TRUE
-    if len(fs) == 1:
-        return fs[0]
-    mid = len(fs) // 2
-    return And(and_all(fs[:mid]), and_all(fs[mid:]))
+    return balanced(fs, And, TRUE)
 
 
 def or_all(fs: Sequence[Formula]) -> Formula:
     """Balanced disjunction of a formula list (False when empty)."""
-    if not fs:
-        return FALSE
-    if len(fs) == 1:
-        return fs[0]
-    mid = len(fs) // 2
-    return Or(or_all(fs[:mid]), or_all(fs[mid:]))
+    return balanced(fs, Or, FALSE)
+
+
+# -- folding constructors -------------------------------------------------
+#
+# The connective rules of constant folding, written once.  A junction's
+# unit (TRUE for and_, FALSE for or_) drops out, the other Bool absorbs and
+# equal arguments merge.  Built from folded arguments, a result is folded.
+
+
+def _junction(make, unit: Bool, left: Formula, right: Formula) -> Formula:
+    if left == unit:
+        return right
+    if right == unit or left == right:
+        return left
+    if isinstance(left, Bool) or isinstance(right, Bool):
+        return Bool(not unit.value)
+    return make(left, right)
+
+
+def and_(left: Formula, right: Formula) -> Formula:
+    return _junction(And, TRUE, left, right)
+
+
+def or_(left: Formula, right: Formula) -> Formula:
+    return _junction(Or, FALSE, left, right)
+
+
+def not_(arg: Formula) -> Formula:
+    if isinstance(arg, Bool):
+        return Bool(not arg.value)
+    if isinstance(arg, Not):
+        return arg.arg
+    return Not(arg)
+
+
+def implies_(left: Formula, right: Formula) -> Formula:
+    if left == FALSE or right == TRUE:
+        return TRUE
+    if left == TRUE:
+        return right
+    if right == FALSE:
+        return not_(left)
+    return Implies(left, right)
 
 
 # -- evaluation -----------------------------------------------------------

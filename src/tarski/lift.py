@@ -11,12 +11,13 @@ and returns a formula, and each data-dependent branch becomes an if_cps
 case split whose condition is the discriminating sign condition.
 
 Inside this module a coefficient is an MPoly: an immutable sparse map
-from monomials to rationals whose hash is computed once, at construction.
+from monomials to rationals whose hash is computed once, on first use.
 The public functions take and return terms; each converts its input once
-(memoized per term in _norm_cache) and builds terms again only for the
-values it hands back and for the atoms it emits.  An atom is stated on
-the canonical scaling of its coefficient, and canonical values are
-interned, so each distinct sign condition builds its term once.
+and builds terms again only for the values it hands back and for the
+atoms it emits; no term is hashed.  An atom is stated on the canonical
+scaling of its coefficient, and canonical values are interned, so each
+distinct sign condition builds its term once.  Case splits are built with
+formula's folding constructors, so every result is already folded.
 
 Two ingredients keep the output from exploding:
 
@@ -131,8 +132,8 @@ def _acc_mul(out: dict, a: dict, b: dict) -> None:
 
 class MPoly:
     """An immutable polynomial in the parameters: a map from monomials to
-    nonzero rationals.  Its hash is computed once, at construction; its
-    canonical scaling and its term form are computed once, on first use.
+    nonzero rationals.  Its hash, its canonical scaling and its term form
+    are computed once, on first use.
 
     The constructor takes ownership of the map, which must hold no zero
     coefficient and must not be mutated afterwards.
@@ -142,7 +143,7 @@ class MPoly:
 
     def __init__(self, terms: dict[_Mono, Fraction]) -> None:
         self.terms = terms
-        self._hash = hash(frozenset(terms.items()))
+        self._hash: Optional[int] = None
         self._canon: Optional[MPoly] = None  # None while unknown or when self is canonical
         self._flip = 0  # 0 while canon() has not run
         self._term: Optional[Term] = None
@@ -157,6 +158,8 @@ class MPoly:
         return MPoly({((index, 1),): Fraction(1)})
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -164,7 +167,7 @@ class MPoly:
             return True
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self._hash == other._hash and self.terms == other.terms
+        return self.terms == other.terms
 
     def __repr__(self) -> str:
         return f"MPoly({self.terms!r})"
@@ -250,22 +253,13 @@ def _intern(m: MPoly) -> MPoly:
     return _interned.setdefault(frozenset(m.terms.items()), m)
 
 
-def _balanced(parts: list[Term], op) -> Term:
-    """Combine parts with a balanced tree so term depth stays logarithmic
-    (structural equality and hashing recurse over depth)."""
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return op(_balanced(parts[:mid], op), _balanced(parts[mid:], op))
-
-
 def _mono_term(mono: _Mono, coeff: Fraction) -> Term:
     factors: list[Term] = []
     for v, e in mono:
         factors.extend([F.Var(v)] * e)
     if not factors:
         return F.Const(coeff)
-    body = _balanced(factors, F.Mul)
+    body = F.balanced(factors, F.Mul)
     if coeff == 1:
         return body
     return F.Mul(F.Const(coeff), body)
@@ -275,7 +269,7 @@ def _rebuild(pm: dict[_Mono, Fraction]) -> Term:
     parts = [_mono_term(m, c) for m, c in sorted(pm.items(), key=_mono_key)]
     if not parts:
         return ZERO
-    return _balanced(parts, F.Add)
+    return F.balanced(parts, F.Add)
 
 
 def _from_term(t: Term) -> MPoly:
@@ -298,22 +292,13 @@ def _from_term(t: Term) -> MPoly:
     raise TypeError(f"not a term: {t!r}")
 
 
-# The one memo from terms to their values: None marks a term with a
-# non-constant Inv, which has no polynomial normal form.
-_norm_cache: dict[Term, Optional[MPoly]] = {}
-
-
 def _mpoly(t: Term) -> Optional[MPoly]:
+    """The value of a term; None when it has a non-constant Inv, which has
+    no polynomial normal form."""
     try:
-        return _norm_cache[t]
-    except KeyError:
-        pass
-    try:
-        m: Optional[MPoly] = _from_term(t)
+        return _from_term(t)
     except _NotPolynomial:
-        m = None
-    _norm_cache[t] = m
-    return m
+        return None
 
 
 def _coeffs(p: Sequence[Term]) -> PolyM:
@@ -349,41 +334,39 @@ def max_var_degree(t: Term) -> int:
 # -- formula constant folding --------------------------------------------
 
 
-def _atom_value(d: Term) -> tuple[Term, Optional[MPoly]]:
-    """Normal form of an atom's difference term, and its value (None
-    when the term has a non-constant Inv)."""
-    n = norm_term(d)
-    return n, _mpoly(d)
-
-
 def _fold_atom(f: Formula) -> Formula:
-    if isinstance(f, Equal):
-        d, m = _atom_value(sub(f.left, f.right))
-        if m is None:
-            return Equal(d, ZERO)
-        g = m.ground()
-        return Bool(g == 0) if g is not None else _atom_eq(m)
-    d, m = _atom_value(sub(f.right, f.left))
+    eq = isinstance(f, Equal)
+    # norm_term hands back a term only, so the value is read back by
+    # converting that normal form.
+    d = norm_term(sub(f.left, f.right) if eq else sub(f.right, f.left))
+    m = _mpoly(d)
     if m is None:
-        return type(f)(ZERO, d)
+        return Equal(d, ZERO) if eq else type(f)(ZERO, d)
     g = m.ground()
     if g is not None:
-        return Bool(g > 0 if isinstance(f, Lt) else g >= 0)
+        return Bool(g == 0 if eq else g > 0 if isinstance(f, Lt) else g >= 0)
+    if eq:
+        return _atom_eq(m)
     canon, flip = m.canon()
     return type(f)(ZERO, canon.signed_term(flip))
 
 
 def fold_formula(f: Formula) -> Formula:
     """Bottom-up semantics-preserving simplification: evaluate ground
-    atoms, normalize atom terms, and shortcut boolean connectives."""
+    atoms, normalize atom terms, and rebuild connectives with the folding
+    constructors of formula.  Every formula decF and decF_strict return is
+    already a fixpoint, so only input formulas need folding."""
     return _fold(f, {})
 
 
+_FOLD_BINARY = {And: F.and_, Or: F.or_, F.Implies: F.implies_}
+
+
 def _fold(f: Formula, atoms: dict) -> Formula:
-    """fold_formula, folding each atom once per call: the lifted procedure
-    emits every occurrence of an atom with the same term objects, so atoms
-    are keyed by the identity of their terms (each entry keeps its atom,
-    and with it those terms, alive for the call)."""
+    """fold_formula, folding each atom once per call: an inner block's
+    lifted result, in an outer block's body, repeats each atom with the same
+    term objects, so atoms are keyed by the identity of their terms (each
+    entry keeps its atom, and with it those terms, alive for the call)."""
     if isinstance(f, Bool):
         return f
     if isinstance(f, (Equal, Lt, F.Le)):
@@ -392,43 +375,11 @@ def _fold(f: Formula, atoms: dict) -> Formula:
         if hit is None:
             hit = atoms[key] = (f, _fold_atom(f))
         return hit[1]
-    if isinstance(f, And):
-        left = _fold(f.left, atoms)
-        right = _fold(f.right, atoms)
-        if left == F.FALSE or right == F.FALSE:
-            return F.FALSE
-        if left == F.TRUE:
-            return right
-        if right == F.TRUE or left == right:
-            return left
-        return And(left, right)
-    if isinstance(f, Or):
-        left = _fold(f.left, atoms)
-        right = _fold(f.right, atoms)
-        if left == F.TRUE or right == F.TRUE:
-            return F.TRUE
-        if left == F.FALSE:
-            return right
-        if right == F.FALSE or left == right:
-            return left
-        return Or(left, right)
-    if isinstance(f, F.Implies):
-        left = _fold(f.left, atoms)
-        right = _fold(f.right, atoms)
-        if left == F.FALSE or right == F.TRUE:
-            return F.TRUE
-        if left == F.TRUE:
-            return right
-        if right == F.FALSE:
-            return _fold(Not(left), atoms)
-        return F.Implies(left, right)
+    build = _FOLD_BINARY.get(type(f))
+    if build is not None:
+        return build(_fold(f.left, atoms), _fold(f.right, atoms))
     if isinstance(f, Not):
-        inner = _fold(f.arg, atoms)
-        if isinstance(inner, Bool):
-            return Bool(not inner.value)
-        if isinstance(inner, Not):
-            return inner.arg
-        return Not(inner)
+        return F.not_(_fold(f.arg, atoms))
     if isinstance(f, F.Exists):
         return F.Exists(f.index, _fold(f.body, atoms))
     if isinstance(f, F.Forall):
@@ -595,21 +546,15 @@ def _atom_pos(t: MPoly) -> Formula:
 
 
 def _mk_ite(cond: Formula, th: Formula, el: Formula) -> Formula:
+    """Or(And(cond, th), And(Not(cond), el)), built with the folding
+    constructors: folded when its arguments are."""
     if th == el:
         return th
-    if th == F.TRUE and el == F.FALSE:
-        return cond
-    if th == F.FALSE and el == F.TRUE:
-        return Not(cond)
-    if th == F.FALSE:
-        return And(Not(cond), el)
     if th == F.TRUE:
-        return Or(cond, el)
-    if el == F.FALSE:
-        return And(cond, th)
+        return F.or_(cond, el)
     if el == F.TRUE:
-        return Or(Not(cond), th)
-    return Or(And(cond, th), And(Not(cond), el))
+        return F.or_(F.not_(cond), th)
+    return F.or_(F.and_(cond, th), F.and_(F.not_(cond), el))
 
 
 def _case_zero(ctx: Ctx, t: MPoly, k: Callable[[Ctx, bool], Formula]) -> Formula:
@@ -646,12 +591,7 @@ def _case_sign(ctx: Ctx, t: MPoly, k: Callable[[Ctx, int], Formula]) -> Formula:
 def if_cps(cond: Formula, th: Formula, el: Formula) -> Formula:
     """Case split: Or(And(cond, th), And(Not(cond), el)), with constant
     folding so that decided conditions select their branch outright."""
-    c = fold_formula(cond)
-    if c == F.TRUE:
-        return th
-    if c == F.FALSE:
-        return el
-    return _mk_ite(c, th, el)
+    return _mk_ite(fold_formula(cond), th, el)
 
 
 def _whnf(ctx: Ctx, p: PolyM, k: Callable[[Ctx, PolyM], Formula]) -> Formula:

@@ -1,13 +1,14 @@
 """Quantifier elimination and the decision procedure for closed formulas.
 
 Quantifiers are eliminated innermost first.  An existential block is
-normalized in four steps: division is compiled away, the body is put in
-disjunctive normal form, the equalities of each disjunct are merged into
-a single equation by summing squares (over the reals a sum of squares
-vanishes exactly when every summand does), and the bound variable is
-abstracted out of every atom, leaving one call of the lifted decision
-procedure per disjunct.  Universal quantifiers reduce to existential ones
-by double negation.
+normalized once, in four steps: division is compiled away and the body
+is folded, the body is put in disjunctive normal form, the equalities of
+each disjunct are merged into a single equation by summing squares (over
+the reals a sum of squares vanishes exactly when every summand does), and
+the bound variable is abstracted out of every atom, leaving one call of
+the lifted decision procedure per disjunct.  The results come back
+folded, and or_ joins them, merging equal ones.  Universal quantifiers
+reduce to existential ones by double negation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .formula import (
     qf_eval,
     subst,
 )
-from .formula import or_all
 from .lift import abstrX, decF, decF_strict, fold_formula
 
 
@@ -65,11 +65,12 @@ def _exists_qf(i: int, body: Formula) -> Formula:
             disjuncts.append(decF(abstrX(i, merged), sq))
         else:
             disjuncts.append(decF_strict(sq))
-    return fold_formula(or_all(disjuncts))
+    return F.balanced(disjuncts, F.or_, F.FALSE)
 
 
 def q_elim(f: Formula) -> Formula:
-    """Equivalent quantifier-free formula over the same free variables."""
+    """Equivalent quantifier-free formula over the same free variables.
+    Block results come back folded; connectives above them stay as written."""
     if isinstance(f, (F.Bool, Equal, Lt, F.Le)):
         return f
     if isinstance(f, And):
@@ -83,7 +84,7 @@ def q_elim(f: Formula) -> Formula:
     if isinstance(f, Exists):
         return _exists_qf(f.index, q_elim(f.body))
     if isinstance(f, Forall):
-        return fold_formula(Not(_exists_qf(f.index, fold_formula(Not(q_elim(f.body))))))
+        return F.not_(_exists_qf(f.index, Not(q_elim(f.body))))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -146,6 +146,17 @@ def sym_polyf(rng: random.Random, size: int, nvars: int) -> tuple[Term, ...]:
     return tuple(rand_term(rng, 1, nvars, 0.5) for _ in range(size))
 
 
+def mono_polyf(rng: random.Random, size: int, nvars: int) -> tuple[Term, ...]:
+    """Coefficients that are zero or one monomial, such as a^2 or -2*a*b."""
+    coeffs = []
+    for _ in range(size):
+        t: Term = Const(Fraction(rng.choice([0, 1, 1, -1, 2, -3])))
+        for _ in range(rng.randint(1, 3)):
+            t = Mul(t, Var(rng.randrange(nvars)))
+        coeffs.append(t)
+    return tuple(coeffs)
+
+
 # -- commuting-square checks for the lifted (symbolic) operations ---------
 #
 # Each check builds the symbolic formula with a continuation that records,

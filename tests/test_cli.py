@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,13 @@ def test_qelim_text_and_check(capsys):
     assert out.strip()
     # eliminated form mentions only the parameters
     assert "x " not in out and "x^" not in out
+
+
+def test_qelim_negative_check_exit_2(capsys):
+    code, out, err = run_cli(capsys, "qelim", "exists x. x^2 + b*x + c = 0", "--check", "-5")
+    assert code == 2
+    assert out == ""
+    assert "error: --check must be non-negative" in err
 
 
 def test_qelim_json_contract(capsys):
@@ -213,3 +224,32 @@ def test_at_file_indirection(capsys, tmp_path):
     assert code == 0 and out.strip() == "true"
     code, _, err = run_cli(capsys, "decide", "@/nonexistent/f.txt")
     assert code == 2 and "cannot read" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(*argv, cwd):
+    """The CLI in its own interpreter, so that a crash of the process
+    (such as a segfault) is an exit code rather than the end of pytest."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("TARSKI_MAX_DEGREE", None)
+    return subprocess.run(
+        [sys.executable, "-m", "tarski.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_long_flat_sum_exit_0(tmp_path):
+    # 20,000 summands parse into a term 20,000 levels deep
+    path = tmp_path / "sum.txt"
+    path.write_text("exists x. " + " + ".join(["x"] * 20000) + " = 1")
+    proc = run_cli_process("decide", f"@{path}", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "true"
+
+
+def test_huge_power_exit_2(tmp_path):
+    proc = run_cli_process("decide", "exists x. x^20000 = 1", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "TARSKI_MAX_DEGREE" in proc.stderr

@@ -58,6 +58,7 @@ from helpers import (
     check_var_sremp_inf_square,
     ground_polyf,
     linear_factor_poly,
+    mono_polyf,
     rand_env,
     rand_fraction,
     rand_int_poly,
@@ -259,6 +260,9 @@ def test_if_cps_square():
         env = rand_env(rng, 1)
         expected = qf_eval(env, th) if qf_eval(env, cond) else qf_eval(env, el)
         assert qf_eval(env, f) == expected
+        # a decided condition selects its branch outright
+        assert if_cps(TRUE, th, el) == th
+        assert if_cps(FALSE, th, el) == el
 
 
 def test_lcoef_size_squares():
@@ -407,6 +411,22 @@ def test_decF_two_constraints_lifted():
         assert qf_eval(env, f) == direct, env
         seen.add(direct)
     assert seen == {True, False}
+
+
+def test_lifted_results_are_fold_fixpoints():
+    # q_elim joins what decF and decF_strict return without folding it
+    # again, so fold_formula must leave their results unchanged.  Monomial
+    # coefficients reach the context's single-monomial sign reasoning.
+    a, b = Var(0), Var(1)
+    cases = [((Mul(b, b), Const(F(0)), Mul(a, a)), [])]  # a^2*x^2 + b^2
+    rng = random.Random(731)
+    for _ in range(40):
+        cases.append(_safe_decF_case(rng))
+        sq = [mono_polyf(rng, rng.randrange(1, 3), 2) for _ in range(rng.randrange(2))]
+        cases.append((mono_polyf(rng, rng.randrange(1, 4), 2), sq))
+    for p, sq in cases:
+        for r in (decF(p, sq), decF_strict([p]), decF_strict([oppF(p)])):
+            assert fold_formula(r) == r, (p, sq)
 
 
 def test_decF_output_is_quantifier_free():

@@ -153,6 +153,11 @@ OUTPUT_DIGESTS = [
     # remainder sequences with pseudo-divisions of two, three and four steps
     ("exists x. x^2 + a*x + b = 0 /\\ 1/2*x^2 + c*x + 6/5 = 0", "7fb51ba4f18299e89a41b85ad6e25d271ff50faa"),
     ("exists x. x^3 + a*x^2 + b*x + c = 0 /\\ x > 4", "829974ce2afdba53755abe8d126f70ffe1cd8e9d"),
+    # equal disjuncts merge: the two lift to one formula, printed once, in
+    # a block of its own and in a block nested under another
+    ("exists x. (x^2 + b*x + c = 0 /\\ x > 1) \\/ (x > 1 /\\ x^2 + b*x + c = 0)",
+     "ba0a509617c3a7ef0293d96d3851482fed6610dc"),
+    ("exists y. forall x. x^2 + y*x + b >= 0", "08a31b23ea47bfed75bd50fcba032af6d0342ded"),
 ]
 
 
