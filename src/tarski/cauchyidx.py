@@ -9,7 +9,6 @@ denominators from rational linear factors so the restriction never binds.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .poly import Poly
@@ -48,10 +47,7 @@ def _rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of a nonzero polynomial (without multiplicity)."""
     if p.degree < 1:
         return []
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    zs = [int(c * denom_lcm) for c in p.coeffs]
+    zs = list(p.num)
     roots: list[Fraction] = []
     if zs[0] == 0:
         roots.append(Fraction(0))

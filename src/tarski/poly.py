@@ -1,7 +1,19 @@
 """Univariate polynomials over the rationals, dense and always normalized.
 
-Coefficients are stored lowest degree first; the zero polynomial is the
-empty sequence and a nonzero polynomial never carries a trailing zero.
+A polynomial is stored as a tuple ``num`` of integer numerators, lowest
+degree first, over one positive common denominator ``den``; its
+coefficients are ``num[i] / den``.  The form is normal: a nonzero
+polynomial never carries a trailing zero, and gcd(den, *num) == 1, so the
+zero polynomial is ``num == ()`` with ``den == 1``.  Equal polynomials
+therefore have equal fields, and equality and hashing stay structural.
+
+Fractions are the boundary type: ``coeffs``, ``lc``, indexing, iteration,
+``eval`` and the scalar arguments and results of the methods are
+``fractions.Fraction`` values.  Inside, every operation runs on ``int``
+and normalizes its result once: sums and products over a common
+denominator, division as fraction-free pseudo-division, and evaluation at
+a/b as homogenized Horner with one Fraction built at the end.
+
 ``size`` is the length of the coefficient sequence, so size == 0 exactly
 for the zero polynomial and size == degree + 1 otherwise; this convention
 avoids option-typed degrees throughout.
@@ -11,21 +23,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .rational import rabs, sgr
+
+def _normal(num: list[int], den: int) -> "Poly":
+    """The Poly num/den in normal form: trailing zeros dropped, den > 0
+    and gcd(den, *num) == 1.  Takes ownership of the list."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    p = object.__new__(Poly)
+    p._num = tuple(num)
+    p._den = den
+    return p
 
 
 class Poly:
-    """Immutable dense univariate polynomial over Fraction."""
+    """Immutable dense univariate polynomial over the rationals: integer
+    numerators over one common denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Fraction] = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so the pair is already normal.
+        den = lcm(*(c.denominator for c in cs)) if cs else 1
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
 
     # -- construction ------------------------------------------------------
 
@@ -52,72 +89,104 @@ class Poly:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def num(self) -> tuple[int, ...]:
+        """Integer numerators, lowest degree first."""
+        return self._num
+
+    @property
+    def den(self) -> int:
+        """The positive common denominator, coprime with all of num."""
+        return self._den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients in lowest terms, lowest degree first."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num)
+
+    @property
     def size(self) -> int:
-        return len(self.coeffs)
+        return len(self._num)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self._num[-1], self._den) if self._num else Fraction(0)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
 
     # -- ring operations ---------------------------------------------------
 
+    def _over_common_den(self, other: "Poly") -> tuple[Iterator[tuple[int, int]], int]:
+        """Pairs of numerators of equal degree, both over lcm(den,
+        other.den) and padded with zeros, and that denominator."""
+        a, b = self._num, other._num
+        da, db = self._den, other._den
+        if da != db:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            a, b, da = [n * fa for n in a], [n * fb for n in b], den
+        return zip_longest(a, b, fillvalue=0), da
+
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        pairs, den = self._over_common_den(other)
+        return _normal([x + y for x, y in pairs], den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] - other[i] for i in range(n)])
+        pairs, den = self._over_common_den(other)
+        return _normal([x - y for x, y in pairs], den)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        p = object.__new__(Poly)
+        p._num = tuple(-n for n in self._num)
+        p._den = self._den
+        return p
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
+        a, b = self._num, other._num
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _normal(out, self._den * other._den)
 
     def scale(self, c: Fraction) -> "Poly":
-        return Poly([c * a for a in self.coeffs])
+        n = c.numerator
+        return _normal([n * a for a in self._num], self._den * c.denominator)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by X^k."""
         if self.is_zero:
             return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
+        return _normal([0] * k + list(self._num), self._den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -134,36 +203,60 @@ class Poly:
     # -- evaluation and derivative ----------------------------------------
 
     def eval(self, x: Fraction) -> Fraction:
-        """Horner evaluation; the zero polynomial evaluates to 0."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at x = a/b by homogenized Horner, sum of num[i] * a^i *
+        b^(d-i), over den * b^d; the zero polynomial evaluates to 0."""
+        num = self._num
+        if not num:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        acc = num[-1]
+        bpow = 1
+        for n in reversed(num[:-1]):
+            bpow *= b
+            acc = acc * a + n * bpow
+        return Fraction(acc, self._den * bpow)
 
     def deriv(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _normal([i * n for i, n in enumerate(self._num)][1:], self._den)
 
     # -- division ----------------------------------------------------------
 
     def divmod(self, q: "Poly") -> tuple["Poly", "Poly"]:
         """Exact Euclidean division over the field: self = quot*q + rem,
-        rem = 0 or size(rem) < size(q)."""
-        if q.is_zero:
+        rem = 0 or size(rem) < size(q).
+
+        Runs as fraction-free pseudo-division of the numerators A and B:
+        eliminating a leading term c scales by lc(B) / gcd(lc(B), c), and s
+        is the product of those factors, so s * A = Q * B + R.  Then rem =
+        R / (den * s) and quot = Q * q.den / (den * s).  A zero leading
+        term is dropped with no scaling step."""
+        b = q._num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = q.degree
-        lcq = q.lc
-        quot = [Fraction(0)] * max(0, len(rem) - dq)
+        dq = len(b) - 1
+        lcq = b[-1]
+        rem = list(self._num)
+        quot = [0] * max(0, len(rem) - dq)
+        s = 1
         while len(rem) > dq:
-            c = rem[-1] / lcq
-            k = len(rem) - 1 - dq
+            c = rem.pop()
+            if not c:
+                continue
+            k = len(rem) - dq
+            g = gcd(c, lcq)
+            m, c = lcq // g, c // g
+            if m != 1:
+                s *= m
+                rem = [m * r for r in rem]
+                for j in range(k + 1, len(quot)):
+                    quot[j] *= m
             quot[k] = c
             for i in range(dq):
-                rem[k + i] -= c * q.coeffs[i]
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quot), Poly(rem)
+                rem[k + i] -= c * b[i]
+        den = self._den * s
+        if q._den != 1:
+            quot = [v * q._den for v in quot]
+        return _normal(quot, den), _normal(rem, den)
 
     def __floordiv__(self, q: "Poly") -> "Poly":
         return self.divmod(q)[0]
@@ -186,7 +279,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(1 / self.lc)
+        return _normal(list(self._num), self._num[-1])
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor; gcd(0, 0) = 0."""
@@ -247,7 +340,7 @@ class Poly:
         """
         if self.is_zero:
             raise ValueError("Cauchy bound of the zero polynomial")
-        return sum((rabs(c) for c in self.coeffs), Fraction(0)) / rabs(self.lc)
+        return Fraction(sum(abs(n) for n in self._num), abs(self._num[-1]))
 
     def monic_transform(self) -> tuple["Poly", Fraction]:
         """Monic change of variable: returns (s, lead) with s monic of the
@@ -255,11 +348,13 @@ class Poly:
         self iff lead*x0 is a root of s."""
         if self.size < 2:
             raise ValueError("monic_transform requires a non-constant polynomial")
-        n = self.degree
-        lead = self.lc
-        cs = [self.coeffs[i] * lead ** (n - 1 - i) for i in range(n)]
-        cs.append(Fraction(1))
-        return Poly(cs), lead
+        # coefficient i of s is c_i * lead^(n-1-i) = num[i] * lc^(n-1-i) * den^i / den^n
+        num, den = self._num, self._den
+        n = len(num) - 1
+        lc = num[-1]
+        out = [num[i] * lc ** (n - 1 - i) * den ** i for i in range(n)]
+        out.append(den ** n)
+        return _normal(out, den ** n), self.lc
 
 
 @dataclass(frozen=True)

@@ -271,29 +271,44 @@ def term_to_str(t: Term, names: Optional[list[str]] = None, prec: int = 0) -> st
 
 
 def formula_to_str(f: Formula, names: Optional[list[str]] = None, prec: int = 0) -> str:
-    """Precedence levels: 1 ->, 2 \\/, 3 /\\, 4 ~, 5 atoms."""
+    """Precedence levels: 1 ->, 2 \\/, 3 /\\, 4 ~, 5 atoms.
+
+    Lifted formulas repeat the same term objects across many atoms, so each
+    atom side is rendered once per call, memoized by the term's identity;
+    the formula keeps every memoized term alive for the whole call."""
+    return _formula_str(f, names, prec, {})
+
+
+def _atom_side(t: Term, names: Optional[list[str]], rendered: dict[int, str]) -> str:
+    s = rendered.get(id(t))
+    if s is None:
+        s = rendered[id(t)] = term_to_str(t, names)
+    return s
+
+
+def _formula_str(f: Formula, names: Optional[list[str]], prec: int, rendered: dict[int, str]) -> str:
     if isinstance(f, F.Bool):
         return "true" if f.value else "false"
     if isinstance(f, (F.Equal, F.Lt, F.Le)):
         op = {"Equal": "=", "Lt": "<", "Le": "<="}[type(f).__name__]
-        return f"{term_to_str(f.left, names)} {op} {term_to_str(f.right, names)}"
+        return f"{_atom_side(f.left, names, rendered)} {op} {_atom_side(f.right, names, rendered)}"
     if isinstance(f, F.Implies):
-        body = f"{formula_to_str(f.left, names, 2)} -> {formula_to_str(f.right, names, 1)}"
+        body = f"{_formula_str(f.left, names, 2, rendered)} -> {_formula_str(f.right, names, 1, rendered)}"
         return f"({body})" if prec > 1 else body
     if isinstance(f, F.Or):
-        body = f"{formula_to_str(f.left, names, 2)} \\/ {formula_to_str(f.right, names, 3)}"
+        body = f"{_formula_str(f.left, names, 2, rendered)} \\/ {_formula_str(f.right, names, 3, rendered)}"
         return f"({body})" if prec > 2 else body
     if isinstance(f, F.And):
-        body = f"{formula_to_str(f.left, names, 3)} /\\ {formula_to_str(f.right, names, 4)}"
+        body = f"{_formula_str(f.left, names, 3, rendered)} /\\ {_formula_str(f.right, names, 4, rendered)}"
         return f"({body})" if prec > 3 else body
     if isinstance(f, F.Not):
-        inner = formula_to_str(f.arg, names, 4)
+        inner = _formula_str(f.arg, names, 4, rendered)
         if not isinstance(f.arg, (F.Bool, F.Equal, F.Lt, F.Le, F.Not)):
             inner = f"({inner})"
         return f"~{inner}"
     if isinstance(f, (F.Exists, F.Forall)):
         word = "exists" if isinstance(f, F.Exists) else "forall"
-        body = f"{word} {_name(f.index, names)}. {formula_to_str(f.body, names, 0)}"
+        body = f"{word} {_name(f.index, names)}. {_formula_str(f.body, names, 0, rendered)}"
         return f"({body})" if prec > 0 else body
     raise TypeError(f"not a formula: {f!r}")
 

@@ -44,6 +44,101 @@ def rand_nonzero_poly(rng: random.Random, max_degree: int = 8, bound: int = 10) 
             return p
 
 
+def rand_rational_poly(rng: random.Random, max_degree: int = 16) -> Poly:
+    """Random polynomial with rational coefficients, for the kernel tests:
+    zero coefficients at any position (so leading terms vanish during
+    division), either sign, and denominators drawn below 1, 10^3 or 10^12."""
+    degree = rng.randint(-1, max_degree)
+    den_bound = rng.choice([1, 10 ** 3, 10 ** 12])
+    num_bound = rng.choice([5, 10 ** 6])
+    return Poly([
+        Fraction(0) if rng.random() < 0.3
+        else Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+        for _ in range(degree + 1)
+    ])
+
+
+class RefPoly:
+    """Reference dense polynomial on one Fraction per coefficient, with the
+    straightforward field loops; the kernel tests check Poly against it."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def _get(self, i: int) -> Fraction:
+        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other: "RefPoly") -> "RefPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPoly([self._get(i) + other._get(i) for i in range(n)])
+
+    def __sub__(self, other: "RefPoly") -> "RefPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPoly([self._get(i) - other._get(i) for i in range(n)])
+
+    def __mul__(self, other: "RefPoly") -> "RefPoly":
+        if not self.coeffs or not other.coeffs:
+            return RefPoly([])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def eval(self, x: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def deriv(self) -> "RefPoly":
+        return RefPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def divmod(self, q: "RefPoly") -> tuple["RefPoly", "RefPoly"]:
+        rem = list(self.coeffs)
+        dq = len(q.coeffs) - 1
+        quot = [Fraction(0)] * max(0, len(rem) - dq)
+        while len(rem) > dq:
+            c = rem[-1] / q.coeffs[-1]
+            k = len(rem) - 1 - dq
+            quot[k] = c
+            for i in range(dq):
+                rem[k + i] -= c * q.coeffs[i]
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return RefPoly(quot), RefPoly(rem)
+
+    def monic(self) -> "RefPoly":
+        return RefPoly([c / self.coeffs[-1] for c in self.coeffs]) if self.coeffs else self
+
+    def gcd(self, other: "RefPoly") -> "RefPoly":
+        a, b = self, other
+        while b.coeffs:
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
+
+    def squarefree_decomposition(self) -> list[tuple["RefPoly", int]]:
+        p = self.monic()
+        if len(p.coeffs) < 2:
+            return []
+        out = []
+        g = p.gcd(p.deriv())
+        c = p.divmod(g)[0]
+        d = p.deriv().divmod(g)[0] - c.deriv()
+        i = 1
+        while len(c.coeffs) >= 2:
+            f = c.gcd(d)
+            if len(f.coeffs) >= 2:
+                out.append((f.monic(), i))
+            c, d = c.divmod(f)[0], d.divmod(f)[0] - c.divmod(f)[0].deriv()
+            i += 1
+        return out
+
+
 def linear_factor_poly(rng: random.Random, max_factors: int = 5, max_mult: int = 3):
     """Product of distinct rational linear factors with multiplicities;
     returns (poly, {root: multiplicity})."""

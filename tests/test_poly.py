@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tarski.poly import Poly
 
-from helpers import rand_fraction, rand_int_poly, rand_nonzero_poly
+from helpers import RefPoly, rand_fraction, rand_int_poly, rand_nonzero_poly, rand_rational_poly
 
 
 def P(*coeffs):
@@ -173,3 +174,97 @@ def test_monic_transform_postconditions():
 def test_monic_transform_requires_nonconstant():
     with pytest.raises(ValueError):
         P(3).monic_transform()
+
+
+# -- the integer kernel against the Fraction reference ----------------------
+
+
+def ref(p: Poly) -> RefPoly:
+    return RefPoly(p.coeffs)
+
+
+def assert_normal(p: Poly):
+    assert p.den > 0
+    assert not p.num or p.num[-1] != 0
+    assert math.gcd(p.den, *p.num) == 1
+    assert p == Poly(p.coeffs)
+
+
+def agrees(p: Poly, r: RefPoly) -> bool:
+    assert_normal(p)
+    return p.coeffs == r.coeffs
+
+
+def test_normal_form_is_structural():
+    p, q = Poly([Fraction(2, 4), 1]), Poly([Fraction(1, 2), 1])
+    assert p == q and hash(p) == hash(q)
+    assert (p.num, p.den) == ((1, 2), 2)
+    assert Poly([Fraction(1, 2)]) * Poly([2]) == Poly([1])
+    assert (P(1, 2) - P(1, 2)).num == () and Poly().den == 1
+    for c in Poly([Fraction(6, 4), Fraction(-10, 15), 0, Fraction(7, 21)]).coeffs:
+        assert isinstance(c, Fraction) and math.gcd(c.numerator, c.denominator) == 1
+
+
+def test_representation_is_read_only():
+    p = P(1, 2)
+    for field in ("num", "den", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, getattr(p, field))
+
+
+def test_divmod_skips_zero_leading_terms():
+    # x^4 + 1 = (x^2 - 1)(x^2 + 1) + 2: the x^3 and x^1 steps vanish
+    quot, rem = P(1, 0, 0, 0, 1).divmod(P(1, 0, 1))
+    assert quot == P(-1, 0, 1) and rem == P(2)
+    a, b = Poly([Fraction(1, 3), 0, 0, Fraction(-5, 7)]), Poly([Fraction(1, 5), 0, Fraction(-2, 9)])
+    quot, rem = a.divmod(b)
+    rquot, rrem = ref(a).divmod(ref(b))
+    assert agrees(quot, rquot) and agrees(rem, rrem)
+    assert quot * b + rem == a
+
+
+def test_ring_ops_match_fraction_reference():
+    rng = random.Random(110)
+    for _ in range(300):
+        p, q = rand_rational_poly(rng), rand_rational_poly(rng)
+        rp, rq = ref(p), ref(q)
+        assert agrees(p + q, rp + rq)
+        assert agrees(p - q, rp - rq)
+        assert agrees(-p, RefPoly([-c for c in rp.coeffs]))
+        assert agrees(p * q, rp * rq)
+        assert agrees(p.deriv(), rp.deriv())
+        for x in (Fraction(0), Fraction(-1), Fraction(7, 3), rand_fraction(rng, 10 ** 12)):
+            assert p.eval(x) == rp.eval(x)
+
+
+def test_division_and_gcd_match_fraction_reference():
+    rng = random.Random(111)
+    for _ in range(200):
+        p, q = rand_rational_poly(rng), rand_rational_poly(rng, 8)
+        if rng.random() < 0.3:
+            p = p * q + rand_rational_poly(rng, 3)
+        rp, rq = ref(p), ref(q)
+        if q.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                p.divmod(q)
+        else:
+            quot, rem = p.divmod(q)
+            rquot, rrem = rp.divmod(rq)
+            assert agrees(quot, rquot) and agrees(rem, rrem)
+        assert agrees(p.gcd(q), rp.gcd(rq))
+
+
+def test_squarefree_decomposition_matches_fraction_reference():
+    rng = random.Random(112)
+    for _ in range(40):
+        p = rand_rational_poly(rng, 4)
+        for _ in range(rng.randint(0, 2)):
+            p = p * rand_rational_poly(rng, 3) ** rng.randint(1, 3)
+        if p.is_zero:
+            with pytest.raises(ValueError):
+                p.squarefree_decomposition()
+            continue
+        got = p.squarefree_decomposition()
+        want = ref(p).squarefree_decomposition()
+        assert [k for _, k in got] == [k for _, k in want]
+        assert all(agrees(f, rf) for (f, _), (rf, _) in zip(got, want))

@@ -136,3 +136,26 @@ def test_poly_print_parse_round_trip():
 
 def test_poly_to_json():
     assert poly_to_json(Poly([Q(-1, 2), Q(0), Q(1)])) == ["-1/2", "0", "1"]
+
+
+
+def test_formula_to_str_memo_matches_per_atom_printing():
+    # One term object shared by many atoms, and two equal but distinct
+    # term objects, in a left-nested conjunction (printed without parens).
+    shared = F.Add(F.Mul(F.Var(0), F.Var(1)), F.Opp(F.Const(Q(3, 2))))
+    twin_a = F.Add(F.Var(0), F.Const(Q(1)))
+    twin_b = F.Add(F.Var(0), F.Const(Q(1)))
+    assert twin_a == twin_b and twin_a is not twin_b
+    atoms = [F.Lt(shared, F.Const(Q(0))), F.Equal(twin_a, shared), F.Le(F.Var(1), twin_b)]
+    atoms += [F.Lt(F.Const(Q(k)), shared) for k in range(20)]
+    f = atoms[0]
+    for atom in atoms[1:]:
+        f = F.And(f, atom)
+    ops = {F.Equal: "=", F.Lt: "<", F.Le: "<="}
+    for names in (["a", "b"], None, ["u", "v"]):
+        expected = " /\\ ".join(
+            f"{term_to_str(a.left, names)} {ops[type(a)]} {term_to_str(a.right, names)}" for a in atoms
+        )
+        assert formula_to_str(f, names) == expected
+    assert formula_to_str(f, ["a", "b"]).count("a * b - (3/2)") == 22
+    assert formula_to_str(f, ["a", "b"]).count("a + 1") == 2
