@@ -19,14 +19,19 @@ scaling of its coefficient, and canonical values are interned, so each
 distinct sign condition builds its term once.  Case splits are built with
 formula's folding constructors, so every result is already folded.
 
-Two ingredients keep the output from exploding:
+Three ingredients keep the output from exploding:
 
 * coefficients are polynomials in normal form, so ground conditions
-  evaluate outright instead of branching, and
+  evaluate outright instead of branching,
 
 * the case splits thread a context of sign facts already assumed on the
   current branch, so a condition whose sign is forced by earlier splits
-  is folded instead of duplicated.
+  is folded instead of duplicated, and
+
+* decF chains its Tarski queries, and the rest of the chain after each
+  query is memoized on (query index, running total) together with the
+  context facts it read, so the case tree that recurs under every leaf of
+  the query before is built once and shared: the result is a DAG.
 
 Pseudo-division multiplies through by an even power of the formal leading
 coefficient, so that whenever the evaluated leading coefficient is
@@ -480,6 +485,19 @@ def abstrX(i: int, t: Term) -> PolyF:
 Ctx = dict[MPoly, frozenset]
 
 
+# The key sets read by the open memo frames of _decF, innermost last;
+# empty outside a decF call.
+_reads: list[set] = []
+
+
+def _read(ctx: Ctx, key: MPoly) -> frozenset:
+    """The signs the context allows a canonical key, recorded as read by
+    the innermost open memo frame: every context read goes through here."""
+    if _reads:
+        _reads[-1].add(key)
+    return ctx.get(key, ALL_SIGNS)
+
+
 def _single_mono(m: MPoly) -> Optional[tuple[Fraction, _Mono]]:
     if len(m.terms) != 1:
         return None
@@ -493,13 +511,13 @@ def _possible_signs(ctx: Ctx, t: MPoly) -> frozenset:
     if g is not None:
         return frozenset((sgr(g),))
     canon, flip = t.canon()
-    poss = ctx.get(canon, ALL_SIGNS)
+    poss = _read(ctx, canon)
     mono = _single_mono(canon)
     if mono is not None:
         coeff, factors = mono
         combined = {sgr(coeff)}
         for v, e in factors:
-            var_poss = ctx.get(MPoly.var(v), ALL_SIGNS)
+            var_poss = _read(ctx, MPoly.var(v))
             step = set()
             for s in var_poss:
                 fs = 0 if s == 0 else (1 if e % 2 == 0 else s)
@@ -517,7 +535,7 @@ def _learn(ctx: Ctx, t: MPoly, signs: frozenset) -> Ctx:
     if flip == -1:
         signs = frozenset(-s for s in signs)
     out = dict(ctx)
-    out[canon] = out.get(canon, ALL_SIGNS) & signs
+    out[canon] = _read(out, canon) & signs
     known = out[canon]
     mono = _single_mono(canon)
     if mono is not None:
@@ -525,14 +543,14 @@ def _learn(ctx: Ctx, t: MPoly, signs: frozenset) -> Ctx:
         if 0 not in known:
             for v, _ in factors:
                 key = MPoly.var(v)
-                out[key] = out.get(key, ALL_SIGNS) & frozenset((-1, 1))
+                out[key] = _read(out, key) & frozenset((-1, 1))
         if len(factors) == 1:
             v, e = factors[0]
             key = MPoly.var(v)
             if known == frozenset((0,)):
-                out[key] = out.get(key, ALL_SIGNS) & frozenset((0,))
+                out[key] = _read(out, key) & frozenset((0,))
             elif len(known) == 1 and e % 2 == 1:
-                out[key] = out.get(key, ALL_SIGNS) & known
+                out[key] = _read(out, key) & known
     return out
 
 
@@ -861,13 +879,30 @@ def _decF(ctx: Ctx, p: PolyM, sq: list[PolyM]) -> Formula:
             if w
         ]
 
+        # The rest of the chain from (idx, total) depends on the context
+        # only through the keys it reads, so a subtree built once is reused
+        # wherever the context agrees with it on those keys.
+        memo: dict[tuple[int, Fraction], list[tuple[list, Formula]]] = {}
+
         def go(c: Ctx, idx: int, total: Fraction) -> Formula:
             if idx == len(terms):
                 return Bool(total > 0)
-            w, prod = terms[idx]
-            return _var_sremp_inf_from(
-                c, ph, prod, lambda c2, v: go(c2, idx + 1, total + w * v)
-            )
+            entries = memo.setdefault((idx, total), [])
+            for facts, f in entries:
+                if all(c.get(key, ALL_SIGNS) == signs for key, signs in facts):
+                    break
+            else:
+                _reads.append(set())
+                try:
+                    w, prod = terms[idx]
+                    f = _var_sremp_inf_from(c, ph, prod, lambda c2, v: go(c2, idx + 1, total + w * v))
+                finally:
+                    keys = _reads.pop()
+                facts = [(key, c.get(key, ALL_SIGNS)) for key in keys]
+                entries.append((facts, f))
+            if _reads:
+                _reads[-1].update(key for key, _ in facts)
+            return f
 
         return go(ctx2, 0, Fraction(0))
 
@@ -887,11 +922,13 @@ def _decF_strict(ctx: Ctx, sq: list[PolyM]) -> Formula:
     if all(g is not None for g in sgs):
         return Bool(dec_strict(sgs))
 
+    prod: PolyM = (ONE_M,)
+    for q in sq:
+        prod = _mulM(prod, q)
+    dprod = _derivM(prod)
+
     def critical(c: Ctx) -> Formula:
-        prod: PolyM = (ONE_M,)
-        for q in sq:
-            prod = _mulM(prod, q)
-        return _whnf(c, _derivM(prod), lambda c2, d: _decF(c2, d, sq) if d else F.FALSE)
+        return _whnf(c, dprod, lambda c2, d: _decF(c2, d, sq) if d else F.FALSE)
 
     def infinities(c: Ctx, rest: Sequence[PolyM], acc: list[tuple[int, int]]) -> Formula:
         # acc holds (lead sign, size) pairs; a zero polynomial makes the

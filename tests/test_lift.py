@@ -413,6 +413,66 @@ def test_decF_two_constraints_lifted():
     assert seen == {True, False}
 
 
+def test_decF_chained_queries_match_dec():
+    # decF reuses the subtree of each remaining Tarski query wherever the
+    # context agrees with it on every sign fact the subtree read, so a fact
+    # read but not recorded would show here as a wrong answer.  One and two
+    # constraints, with parametric and single-monomial coefficients; half of
+    # the environments zero some parameters, and with them coefficients.
+    a, b, c = Var(0), Var(1), Var(2)
+
+    def mono(k, e):  # k * a^e
+        return Mul(Const(F(k)), powF((a,), e)[0])
+
+    cases = [
+        ((c, b, a), [(Opp(b), Const(F(1))), (Const(F(1)), Const(F(-1)))]),  # a*x^2 + b*x + c = 0 /\ b < x < 1
+        ((c, b, Const(F(1))), [(Opp(a), Const(F(1)))]),
+        # the sign of a^2 and a^3 read through the fact learned on a
+        ((mono(2, 1), mono(2, 2), mono(-1, 2)), [(mono(2, 1), mono(1, 3)), (mono(-3, 2),)]),
+        ((mono(-3, 2), mono(1, 2)), [(mono(-3, 2), mono(1, 3)), (mono(1, 2),)]),
+    ]
+    rng = random.Random(741)
+    for _ in range(6):
+        for make in (sym_polyf, mono_polyf):
+            sq = [make(rng, rng.randrange(1, 3), 3) for _ in range(rng.randrange(1, 3))]
+            cases.append((make(rng, rng.randrange(2, 4), 3), sq))
+    zeroed = 0
+    for p, sq in cases:
+        f = decF(p, sq)
+        envs = [rand_env(rng, 3, bound=3) for _ in range(12)]
+        envs += [[v if rng.random() < 0.5 else F(0) for v in env] for env in envs]
+        for env in envs:
+            pv = eval_poly(env, p)
+            zeroed += pv.size < len(p)
+            assert qf_eval(env, f) == dec(pv, [eval_poly(env, q) for q in sq]), (p, sq, env)
+    assert zeroed >= 20
+
+
+def test_context_reads_are_recorded():
+    # decF's memo is sound only if every context read lands in the innermost
+    # open read set, the per-variable facts of a single monomial included.
+    from tarski import lift
+
+    a, b = MPoly.var(0), MPoly.var(1)
+    mono = MPoly({((0, 2), (1, 1)): F(-3)})  # -3*a^2*b
+    both = mono.canon()[0]
+    sum_ = a + b
+    for read, keys in [
+        (lambda: lift._possible_signs({}, mono), {both, a, b}),
+        (lambda: lift._possible_signs({}, sum_), {sum_}),
+        (lambda: lift._learn({}, mono, frozenset((1,))), {both, a, b}),
+        (lambda: lift._learn({}, a, frozenset((-1,))), {a}),
+        (lambda: lift._learn({}, sum_, frozenset((0,))), {sum_}),
+    ]:
+        lift._reads.append(set())
+        try:
+            read()
+        finally:
+            recorded = lift._reads.pop()
+        assert recorded == keys
+    assert not lift._reads
+
+
 def test_lifted_results_are_fold_fixpoints():
     # q_elim joins what decF and decF_strict return without folding it
     # again, so fold_formula must leave their results unchanged.  Monomial

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tarski.formula import free_vars, qf_eval, qf_form
+from tarski.formula import And, Implies, Not, Or, free_vars, qf_eval, qf_form
 from tarski.qelim import check_equiv, decide, q_elim
 from tarski.syntax import formula_to_str, parse_formula
 
@@ -158,6 +158,8 @@ OUTPUT_DIGESTS = [
     ("exists x. (x^2 + b*x + c = 0 /\\ x > 1) \\/ (x > 1 /\\ x^2 + b*x + c = 0)",
      "ba0a509617c3a7ef0293d96d3851482fed6610dc"),
     ("exists y. forall x. x^2 + y*x + b >= 0", "08a31b23ea47bfed75bd50fcba032af6d0342ded"),
+    # four chained Tarski queries, whose case trees lift shares
+    ("exists x. x^2 + b*x + c = 0 /\\ 0 < x /\\ x < 1", "386e016b76c30e341400e13df766202d7b9ea2b3"),
 ]
 
 
@@ -170,6 +172,28 @@ def _output_digest(text):
 @pytest.mark.parametrize("text,digest", OUTPUT_DIGESTS)
 def test_q_elim_output_text_is_pinned(text, digest):
     assert _output_digest(text)[2] == digest
+
+
+def _formula_nodes(f):
+    """Formula nodes of f counted as a tree, and its distinct node objects."""
+    sizes = {}
+
+    def size(g):
+        if id(g) not in sizes:
+            kids = (g.left, g.right) if isinstance(g, (And, Or, Implies)) else (g.arg,) if isinstance(g, Not) else ()
+            sizes[id(g)] = 1 + sum(size(k) for k in kids)
+        return sizes[id(g)]
+
+    return size(f), len(sizes)
+
+
+def test_q_elim_shares_repeated_query_subtrees():
+    # Each Tarski query's case tree recurs under every leaf of the query
+    # before it; lift builds each recurrence once and reuses the object.
+    f, _ = parse_formula("exists x. x^2 + b*x + c = 0 /\\ 0 < x /\\ x < 1")
+    tree, distinct = _formula_nodes(q_elim(f))
+    assert tree == 4411
+    assert distinct * 5 < tree
 
 
 def test_q_elim_quadratic_root_in_open_box():
